@@ -1,9 +1,10 @@
 // TCP saturation knee of a real loopback cluster: spawns three `hotmand`
 // daemons (actual sockets, actual reactor threads), drives a closed-loop
-// 90/10 get/put workload at rising client concurrency, and reports the
-// knee — the concurrency level past which extra clients stop buying
-// throughput. Run at --shards=1 vs --shards=4 to compare the single-reactor
-// node against the shard-per-core one.
+// 90/10 get/put workload at rising client concurrency, and reports
+// throughput and get p50/p99 per level plus the knee — the concurrency
+// level past which extra clients stop buying throughput. Run at --shards=1
+// vs --shards=3 to compare the single-reactor node against the
+// shard-per-core one. Any failed op makes the run exit non-zero.
 //
 // The daemon binary path comes from $HOTMAND_BIN or --hotmand=PATH (falls
 // back to <this binary's dir>/../tools/hotmand). Emits
@@ -20,6 +21,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -33,6 +35,7 @@
 #include "bench_common.h"
 #include "common/bytes.h"
 #include "net/remote_client.h"
+#include "workload/metrics.h"
 
 namespace hotman {
 namespace {
@@ -124,16 +127,25 @@ net::RemoteClientConfig ClientConfig(const DaemonNode& node, int worker) {
 
 std::string KeyOf(int i) { return "sat" + std::to_string(i); }
 
+struct Level {
+  double ops_per_sec = 0.0;
+  workload::LatencyRecorder get_latency;  ///< successful gets, whole µs
+  std::uint64_t failures = 0;
+};
+
 /// Closed-loop throughput at `concurrency` workers, 90/10 get/put, workers
 /// spread round-robin over the three nodes. Every worker owns its own
-/// connection (RemoteClient is single-threaded by contract).
-double MeasureLevel(const std::vector<DaemonNode>& nodes, int concurrency,
-                    std::chrono::milliseconds window) {
+/// connection (RemoteClient is single-threaded by contract) and its own
+/// latency recorder, merged after the window.
+Level MeasureLevel(const std::vector<DaemonNode>& nodes, int concurrency,
+                   std::chrono::milliseconds window) {
   std::atomic<bool> go{false};
   std::atomic<bool> stop{false};
   std::atomic<int> ready{0};
   std::atomic<std::uint64_t> failures{0};
   std::vector<std::uint64_t> counts(static_cast<std::size_t>(concurrency), 0);
+  std::vector<workload::LatencyRecorder> get_latency(
+      static_cast<std::size_t>(concurrency));
   std::vector<std::thread> pool;
   pool.reserve(static_cast<std::size_t>(concurrency));
   for (int w = 0; w < concurrency; ++w) {
@@ -152,8 +164,15 @@ double MeasureLevel(const std::vector<DaemonNode>& nodes, int concurrency,
         if ((rng & 1023) < 102) {  // ~10% writes
           ok = client.Put(node.name, KeyOf(i), ToBytes("w")).ok();
         } else {
+          const auto started = std::chrono::steady_clock::now();
           const auto r = client.Get(node.name, KeyOf(i));
           ok = r.ok() || r.status().IsNotFound();
+          if (ok) {
+            get_latency[static_cast<std::size_t>(w)].Record(
+                std::chrono::duration_cast<std::chrono::microseconds>(
+                    std::chrono::steady_clock::now() - started)
+                    .count());
+          }
         }
         if (ok) {
           ++n;
@@ -172,16 +191,18 @@ double MeasureLevel(const std::vector<DaemonNode>& nodes, int concurrency,
   for (std::thread& t : pool) t.join();
   const auto end = std::chrono::steady_clock::now();
 
+  Level level;
   std::uint64_t total = 0;
   for (std::uint64_t c : counts) total += c;
-  if (failures.load() > total / 10) {
-    std::printf("  (warning: %llu failed ops at concurrency %d)\n",
-                static_cast<unsigned long long>(failures.load()), concurrency);
+  for (const workload::LatencyRecorder& worker : get_latency) {
+    for (Micros sample : worker.samples()) level.get_latency.Record(sample);
   }
+  level.failures = failures.load();
   const double seconds =
       std::chrono::duration_cast<std::chrono::duration<double>>(end - start)
           .count();
-  return seconds > 0 ? static_cast<double>(total) / seconds : 0.0;
+  level.ops_per_sec = seconds > 0 ? static_cast<double>(total) / seconds : 0.0;
+  return level;
 }
 
 std::string DefaultHotmandPath(const char* argv0) {
@@ -241,7 +262,15 @@ int main(int argc, char** argv) {
   std::vector<DaemonNode> nodes;
   for (int i = 0; i < kNodes; ++i) {
     DaemonNode node;
-    node.port = PickPort();
+    // A released port can come straight back from the next PickPort; two
+    // daemons given one port leave one dead and the other silently
+    // dropping the frames addressed to it.
+    do {
+      node.port = PickPort();
+    } while (node.port != 0 &&
+             std::any_of(nodes.begin(), nodes.end(), [&](const DaemonNode& n) {
+               return n.port == node.port;
+             }));
     if (node.port == 0) {
       std::fprintf(stderr, "could not reserve a loopback port\n");
       return 1;
@@ -257,26 +286,30 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Boot barrier + preload: retry until the cluster serves writes, then
-  // seed the keyspace so the 90% read side hits real records.
-  {
-    net::RemoteClient seeder(ClientConfig(nodes[0], 999));
-    const auto deadline = std::chrono::steady_clock::now() + 30s;
+  // Boot barrier: retry until every daemon serves a write sent to it, so
+  // one that failed to start stops the run here instead of failing every
+  // op sent to it later.
+  const auto boot_deadline = std::chrono::steady_clock::now() + 30s;
+  for (const DaemonNode& node : nodes) {
+    net::RemoteClientConfig probe_config = ClientConfig(node, 900);
+    probe_config.op_timeout = 500 * kMicrosPerMilli;
+    net::RemoteClient probe(probe_config);
     bool booted = false;
-    while (std::chrono::steady_clock::now() < deadline) {
-      if (seeder.Put(nodes[0].name, "boot-probe", ToBytes("up")).ok()) {
-        booted = true;
-        break;
-      }
-      std::this_thread::sleep_for(100ms);
+    while (!booted && std::chrono::steady_clock::now() < boot_deadline) {
+      booted = probe.Put(node.name, "boot-probe", ToBytes("up")).ok();
+      if (!booted) std::this_thread::sleep_for(100ms);
     }
     if (!booted) {
-      std::fprintf(stderr, "cluster never booted\n");
+      std::fprintf(stderr, "%s never booted\n", node.name.c_str());
       KillAll(&nodes, SIGKILL);
       return 1;
     }
-    // All through node 0: a client frame must address the node it is
-    // connected to (the daemon only delivers to its own endpoint).
+  }
+  // Preload, so the 90% read side hits real records. All through node 0: a
+  // client frame must address the node it is connected to (the daemon only
+  // delivers to its own endpoint).
+  {
+    net::RemoteClient seeder(ClientConfig(nodes[0], 999));
     for (int i = 0; i < kKeys; ++i) {
       seeder.Put(nodes[0].name, KeyOf(i), ToBytes("seed")).ok();
     }
@@ -289,18 +322,29 @@ int main(int argc, char** argv) {
   json.Integer("window_ms", static_cast<long long>(window.count()));
   json.Text("mode", short_mode ? "short" : "full");
 
-  bench::Section("closed-loop 90/10 get/put ops/sec by client concurrency");
-  bench::Row({"clients", "ops/sec", "vs prev"});
+  bench::Section("closed-loop 90/10 get/put by client concurrency");
+  bench::Row({"clients", "ops/sec", "vs prev", "get p50 us", "get p99 us",
+              "failed"});
   std::vector<double> tputs;
   int knee_concurrency = levels.front();
   double knee_ops = 0.0;
   bool knee_found = false;
+  std::uint64_t failed_ops = 0;
   for (std::size_t l = 0; l < levels.size(); ++l) {
-    const double tput = MeasureLevel(nodes, levels[l], window);
+    const Level level = MeasureLevel(nodes, levels[l], window);
+    const double tput = level.ops_per_sec;
     const double gain = l == 0 || tputs.back() <= 0 ? 1.0 : tput / tputs.back();
+    const Micros p50 = level.get_latency.Percentile(50);
+    const Micros p99 = level.get_latency.Percentile(99);
     bench::Row({std::to_string(levels[l]), bench::Fmt(tput, 0),
-                l == 0 ? "-" : bench::Fmt(gain, 2) + "x"});
-    json.Number("c" + std::to_string(levels[l]) + "_ops_per_sec", tput, 0);
+                l == 0 ? "-" : bench::Fmt(gain, 2) + "x", std::to_string(p50),
+                std::to_string(p99), std::to_string(level.failures)});
+    const std::string prefix = "c" + std::to_string(levels[l]);
+    json.Number(prefix + "_ops_per_sec", tput, 0);
+    json.Integer(prefix + "_get_p50_us", p50);
+    json.Integer(prefix + "_get_p99_us", p99);
+    json.Integer(prefix + "_failed_ops", static_cast<long long>(level.failures));
+    failed_ops += level.failures;
     // The knee: the last level that still bought >=10% more throughput.
     if (l > 0 && !knee_found && gain < 1.10) {
       knee_concurrency = levels[l - 1];
@@ -323,9 +367,15 @@ int main(int argc, char** argv) {
   }
   json.Integer("knee_concurrency", knee_concurrency);
   json.Number("knee_ops_per_sec", knee_ops, 0);
+  json.Integer("failed_ops", static_cast<long long>(failed_ops));
 
   KillAll(&nodes, SIGTERM);
   std::printf("\n");
   json.WriteFile();
+  if (failed_ops > 0) {
+    std::fprintf(stderr, "bench_tcp_saturation: %llu ops failed\n",
+                 static_cast<unsigned long long>(failed_ops));
+    return 1;
+  }
   return 0;
 }

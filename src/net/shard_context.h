@@ -3,6 +3,8 @@
 
 namespace hotman::net {
 
+class Executor;
+
 /// Which shard's reactor context the calling thread is currently executing
 /// in. Shard-affine state (a StorageNode shard's pending tables, dirty set,
 /// hint ledger) may only be touched when Current() equals its shard index;
@@ -17,6 +19,13 @@ struct ShardContext {
   /// Shard index of the current execution context, or -1 when the calling
   /// thread is outside any shard (setup threads, benchmark drivers).
   static int Current();
+
+  /// The executor whose loop the calling thread runs: a shard reactor, or
+  /// the TcpTransport loop a ShardedExecutor tagged as its shard 0. Null on
+  /// every other thread, and in the deterministic runtime (its shards share
+  /// one base executor). TcpTransport::Send delivers a loopback frame on
+  /// this executor, so the frame never leaves the sending shard.
+  static Executor* CurrentExecutor();
 
   /// RAII context push: marks the calling thread as executing shard
   /// `shard` until destruction, restoring the previous value after.

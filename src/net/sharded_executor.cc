@@ -23,12 +23,17 @@ namespace {
 /// Shard context of the calling thread. Reactor threads pin theirs for
 /// life; the deterministic runtime pushes a scope around each delivery.
 thread_local int tls_current_shard = -1;
+/// Executor whose loop the calling thread runs (reactor threads and the
+/// tagged transport loop only).
+thread_local Executor* tls_current_executor = nullptr;
 /// SPSC producer lane owned by the calling thread (-1: overflow lane).
 thread_local int tls_producer_lane = -1;
 
 }  // namespace
 
 int ShardContext::Current() { return tls_current_shard; }
+
+Executor* ShardContext::CurrentExecutor() { return tls_current_executor; }
 
 ShardContext::Scope::Scope(int shard) : prev_(tls_current_shard) {
   tls_current_shard = shard;
@@ -306,6 +311,7 @@ class ShardReactor : public Executor {
 
   void LoopMain() {
     tls_current_shard = index_;
+    tls_current_executor = this;
     tls_producer_lane = index_;
     epoll_event events[8];
     std::vector<std::function<void()>> batch;
@@ -325,6 +331,7 @@ class ShardReactor : public Executor {
       RunDueTimers();
     }
     tls_current_shard = -1;
+    tls_current_executor = nullptr;
     tls_producer_lane = -1;
   }
 
@@ -400,8 +407,9 @@ Status ShardedExecutor::Launch() {
       // The transport loop is shard 0: tag its thread and drain shard 0's
       // mailboxes on every loop tick.
       transport_->SetTickHook([this] { DrainShardZero(); });
-      transport_->Post([] {
+      transport_->Post([transport = transport_] {
         tls_current_shard = 0;
+        tls_current_executor = transport;
         tls_producer_lane = 0;
       });
     }

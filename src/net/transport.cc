@@ -20,7 +20,7 @@ bool Dispatcher::Dispatch(const Message& msg) const {
 Transport::Handler Dispatcher::AsTransportHandler() {
   return [this](const Message& msg) {
     if (!Dispatch(msg)) {
-      ++unknown_;
+      unknown_.fetch_add(1, std::memory_order_relaxed);
       HOTMAN_LOG(kWarn) << msg.to << ": unknown message type " << msg.type
                         << " from " << msg.from;
     }

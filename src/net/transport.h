@@ -1,6 +1,7 @@
 #ifndef HOTMAN_NET_TRANSPORT_H_
 #define HOTMAN_NET_TRANSPORT_H_
 
+#include <atomic>
 #include <functional>
 #include <map>
 #include <string>
@@ -27,9 +28,14 @@ class Transport : public Executor {
  public:
   using Handler = std::function<void(const Message&)>;
 
-  /// Registers `name` as a local endpoint; inbound messages addressed to it
-  /// invoke `handler` on the transport's event thread. Re-registering
-  /// replaces the handler (a restarted node).
+  /// Registers `name` as a local endpoint; messages addressed to it invoke
+  /// `handler`. A message from a peer fires on the transport's event
+  /// thread. A loopback message (sent to a local endpoint) fires on the
+  /// executor that sent it: TcpTransport runs a shard reactor's frame to
+  /// its own node on that reactor, so a handler reachable from several
+  /// shards must route by shard itself (net::Dispatcher + RunOnShard). The
+  /// simulator has one event thread, so both cases coincide there.
+  /// Re-registering replaces the handler (a restarted node).
   virtual void RegisterEndpoint(const std::string& name, Handler handler) = 0;
 
   /// Removes the endpoint; messages addressed to it are dropped (counted).
@@ -49,7 +55,9 @@ class Transport : public Executor {
 /// if/else chain over msg.type. Register handlers with On(), install the
 /// result of AsTransportHandler() as the endpoint handler; unknown types are
 /// logged and counted rather than crashing (hostile or version-skewed peers
-/// may send anything).
+/// may send anything). The table must be complete before the endpoint is
+/// registered: from then on Dispatch may run on several threads at once
+/// (see Transport::RegisterEndpoint).
 class Dispatcher {
  public:
   using Handler = Transport::Handler;
@@ -63,11 +71,13 @@ class Dispatcher {
   /// Endpoint handler that dispatches and warn-logs unmatched types.
   Transport::Handler AsTransportHandler();
 
-  std::size_t unknown_count() const { return unknown_; }
+  std::size_t unknown_count() const {
+    return unknown_.load(std::memory_order_relaxed);
+  }
 
  private:
   std::map<std::string, Handler> handlers_;
-  std::size_t unknown_ = 0;
+  std::atomic<std::size_t> unknown_{0};
 };
 
 }  // namespace hotman::net

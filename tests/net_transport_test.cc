@@ -131,6 +131,41 @@ TEST(TcpTransportTest, SelfSendDeliversLocally) {
   transport.Stop();
 }
 
+TEST(TcpTransportTest, FrameSentBeforeRegistrationWaitsForTheEndpoint) {
+  // hotmand listens in transport.Start() but registers its endpoint only in
+  // node->Start(). A client frame landing in between must wait for the
+  // endpoint (in the kernel backlog), not be dropped with its caller left
+  // to time out.
+  TcpTransportConfig server_config;
+  server_config.listen_port = 0;
+  TcpTransport server(server_config);
+  ASSERT_TRUE(server.Start().ok());
+
+  TcpTransportConfig client_config;
+  client_config.listen_port = -1;
+  client_config.peers["srv"] = TcpPeer{"127.0.0.1", server.listen_port()};
+  TcpTransport client(client_config);
+  ASSERT_TRUE(client.Start().ok());
+  client.Send(Make("cli", "srv", "early", 5));
+  ASSERT_TRUE(WaitUntil([&] {
+    return CounterValue(client, "net.connections_opened") >= 1 &&
+           CounterValue(client, "net.frames_sent") >= 1;
+  }));
+  // Time for a listener that accepted early to read and drop the frame.
+  std::this_thread::sleep_for(100ms);
+
+  Mailbox inbox;
+  server.RegisterEndpoint("srv", inbox.AsHandler());
+  ASSERT_TRUE(WaitUntil([&] { return inbox.count() >= 1; }));
+  EXPECT_EQ(inbox.at(0).type, "early");
+  EXPECT_EQ(inbox.at(0).body.Get("seq")->as_int64(), 5);
+  EXPECT_EQ(CounterValue(server, "net.dropped_no_endpoint"), 0u);
+  EXPECT_EQ(CounterValue(server, "net.frames_dropped"), 0u);
+
+  client.Stop();
+  server.Stop();
+}
+
 TEST(TcpTransportTest, UnknownDestinationCountedDropped) {
   TcpTransportConfig config;
   config.listen_port = -1;
