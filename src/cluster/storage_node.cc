@@ -23,6 +23,17 @@ std::string ShardCollection(const std::string& base, int index) {
   return base + "_s" + std::to_string(index);
 }
 
+/// Aborts unless the caller runs on shard 0 or outside any shard (the
+/// simulator's delivery context): a system message's handler touches shard
+/// 0's state without a hop, which anywhere else is a data race.
+void CheckOnSystemShard(const std::string& node, const std::string& type) {
+  const int shard = net::ShardContext::Current();
+  if (shard <= 0) return;
+  HOTMAN_LOG(kError) << node << ": system message " << type << " delivered on shard "  // NOLINT(hotman-transitive-blocking) leaf log sink right before abort
+                     << shard;
+  std::abort();
+}
+
 }  // namespace
 
 void NodeStats::MergeFrom(const NodeStats& other) {
@@ -240,19 +251,30 @@ void StorageNode::RunOnShard(int shard, std::function<void()> fn) {
 }
 
 void StorageNode::RegisterHandlers() {
-  // System traffic (gossip, membership, anti-entropy) is pinned to shard 0
-  // — the dispatcher already runs there (the transport's event thread), so
-  // these handlers call straight through. Keyed traffic decodes on shard 0
-  // and hops to the owning shard: put/get replicas and hint stores by the
-  // record's key, acks by the home shard carried in the request id's low
-  // kShardBits.
-  dispatcher_.On(gossip::kMsgGossipSyn, [this](const net::Message& msg) {
+  // System traffic (gossip, membership, anti-entropy, rebalance) is pinned
+  // to shard 0 and its handlers call straight through. That holds because
+  // only shard 0 sends it: a peer's frame reaches the dispatcher on the
+  // transport's event thread (shard 0), and so does a frame this node sends
+  // itself from shard 0 or from outside any shard, but one it sends itself
+  // from shard k > 0 is delivered on shard k (net::TcpTransport::Send).
+  // on_system checks the rule on every system message. Keyed traffic
+  // decodes on the delivering shard and hops to the owning shard (inline
+  // when already there): put/get replicas and hint stores by the record's
+  // key, acks by the home shard carried in the request id's low kShardBits.
+  const auto on_system = [this](const std::string& type,
+                                net::Transport::Handler handler) {
+    dispatcher_.On(type, [this, handler = std::move(handler)](const net::Message& msg) {
+      CheckOnSystemShard(id_, msg.type);
+      handler(msg);
+    });
+  };
+  on_system(gossip::kMsgGossipSyn, [this](const net::Message& msg) {
     gossiper_->HandleSyn(msg.from, msg.body);
   });
-  dispatcher_.On(gossip::kMsgGossipAck1, [this](const net::Message& msg) {
+  on_system(gossip::kMsgGossipAck1, [this](const net::Message& msg) {
     gossiper_->HandleAck1(msg.from, msg.body);
   });
-  dispatcher_.On(gossip::kMsgGossipAck2, [this](const net::Message& msg) {
+  on_system(gossip::kMsgGossipAck2, [this](const net::Message& msg) {
     gossiper_->HandleAck2(msg.from, msg.body);
   });
   dispatcher_.On(kMsgPutReplica, [this](const net::Message& msg) {
@@ -287,7 +309,9 @@ void StorageNode::RegisterHandlers() {
     if (!ack.ok()) {
       // No request id to route by: every shard checks its own pending
       // reads against the sender (see HandleCorruptGetAck). Counted once
-      // per message, on the system shard (this handler runs there).
+      // per message, on the system shard: a corrupt ack comes off a
+      // socket, never from this node itself, so this runs there.
+      CheckOnSystemShard(id_, msg.type);
       ++shards_[0]->stats.get_acks_corrupt;
       for (const auto& shard : shards_) {
         ShardState* ss = shard.get();
@@ -329,30 +353,28 @@ void StorageNode::RegisterHandlers() {
       HandleHandoffAck(*shards_[shard], std::move(a));
     });
   });
-  dispatcher_.On(kMsgAeDigest,
-                 [this](const net::Message& msg) { HandleAeDigest(msg); });
-  dispatcher_.On(kMsgAeRequest,
-                 [this](const net::Message& msg) { HandleAeRequest(msg); });
+  on_system(kMsgAeDigest, [this](const net::Message& msg) { HandleAeDigest(msg); });
+  on_system(kMsgAeRequest, [this](const net::Message& msg) { HandleAeRequest(msg); });
   // Elastic membership (src/rebalance/): system-shard traffic like
   // anti-entropy; the rebalancer hops keyed applies to the owning shard
   // itself (through the env.apply hook).
-  dispatcher_.On(rebalance::kMsgRangeDigest, [this](const net::Message& msg) {
-    rebalancer_->HandleRangeDigest(msg.from, msg.body);  // NOLINT(hotman-shard-affinity) the dispatcher delivers on shard 0, the rebalancer's home shard
+  on_system(rebalance::kMsgRangeDigest, [this](const net::Message& msg) {
+    rebalancer_->HandleRangeDigest(msg.from, msg.body);  // NOLINT(hotman-shard-affinity) on_system runs it on shard 0, the rebalancer's home shard
   });
-  dispatcher_.On(rebalance::kMsgRangeAck, [this](const net::Message& msg) {
-    rebalancer_->HandleRangeAck(msg.from, msg.body);  // NOLINT(hotman-shard-affinity) the dispatcher delivers on shard 0, the rebalancer's home shard
+  on_system(rebalance::kMsgRangeAck, [this](const net::Message& msg) {
+    rebalancer_->HandleRangeAck(msg.from, msg.body);  // NOLINT(hotman-shard-affinity) on_system runs it on shard 0, the rebalancer's home shard
   });
-  dispatcher_.On(rebalance::kMsgRangePush, [this](const net::Message& msg) {
-    rebalancer_->HandleRangePush(msg.from, msg.body);  // NOLINT(hotman-shard-affinity) the dispatcher delivers on shard 0, the rebalancer's home shard
+  on_system(rebalance::kMsgRangePush, [this](const net::Message& msg) {
+    rebalancer_->HandleRangePush(msg.from, msg.body);  // NOLINT(hotman-shard-affinity) on_system runs it on shard 0, the rebalancer's home shard
   });
-  dispatcher_.On(rebalance::kMsgTransferDone, [this](const net::Message& msg) {
-    rebalancer_->HandleTransferDone(msg.from, msg.body);  // NOLINT(hotman-shard-affinity) the dispatcher delivers on shard 0, the rebalancer's home shard
+  on_system(rebalance::kMsgTransferDone, [this](const net::Message& msg) {
+    rebalancer_->HandleTransferDone(msg.from, msg.body);  // NOLINT(hotman-shard-affinity) on_system runs it on shard 0, the rebalancer's home shard
   });
-  dispatcher_.On(kMsgNodeRemoved, [this](const net::Message& msg) {
+  on_system(kMsgNodeRemoved, [this](const net::Message& msg) {
     auto notice = DecodeMembership(msg.body);
     if (notice.ok()) OnNodeRemoved(notice->node);
   });
-  dispatcher_.On(kMsgNodeAdded, [this](const net::Message& msg) {
+  on_system(kMsgNodeAdded, [this](const net::Message& msg) {
     auto notice = DecodeMembership(msg.body);
     if (notice.ok()) OnNodeAdded(notice->node, std::max(1, notice->vnodes));
   });
