@@ -278,9 +278,8 @@ Status Cluster::RemoveNode(const std::string& address) {
   auto it = nodes_.find(address);
   if (it == nodes_.end()) return Status::NotFound("no node: " + address);
   StorageNode* leaving = it->second.get();
-  if (!config_.rebalance.enabled || !leaving->running()) {
-    // No rebalancer (or nothing left to stream): the only departure on
-    // offer is the abrupt one.
+  if (!leaving->running()) {
+    // Nothing left to stream: the only departure on offer is the abrupt one.
     return RemoveNodeAbrupt(address);
   }
   // Graceful decommission: the node streams out everything it holds, then
@@ -331,9 +330,6 @@ Status Cluster::DecommissionNodeAsync(const std::string& address,
                                       std::function<void(const Status&)> done) {
   auto it = nodes_.find(address);
   if (it == nodes_.end()) return Status::NotFound("no node: " + address);
-  if (!config_.rebalance.enabled) {
-    return Status::InvalidArgument("rebalancer disabled; use RemoveNodeAbrupt");
-  }
   if (done == nullptr) done = [](const Status&) {};
   it->second->StartDecommission(std::move(done));
   return Status::OK();

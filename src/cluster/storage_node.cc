@@ -621,20 +621,17 @@ void StorageNode::StartPut(ShardState& ss, bson::Document record,
   PendingPut put;
   put.key = key;
   put.primary = targets.front();
-  put.record = record;
+  put.record = std::move(record);
   put.cb = std::move(cb);
   put.started_at = transport_->NowMicros();
   put.needed = std::min<int>(config_.write_quorum, static_cast<int>(targets.size()));
   put.pref_targets = targets;
-  for (const std::string& target : targets) {
-    put.responded.emplace(target, false);
-    put.used.insert(target);
-  }
+  for (const std::string& target : targets) put.responded.emplace(target, false);
   put.timeout_event = ss.executor->ScheduleTimer(
       config_.put_timeout, [this, &ss, req]() { OnPutTimeout(ss, req); });
   put.cleanup_event = ss.executor->ScheduleTimer(
       4 * config_.put_timeout, [this, &ss, req]() { OnPutCleanup(ss, req); });
-  ss.pending_puts.emplace(req, std::move(put));
+  PendingPut& pending = ss.pending_puts.emplace(req, std::move(put)).first->second;
   MarkKeyDirty(ss, key);
 
   // The primary stores the original record (isData=1) and the other N-1
@@ -645,33 +642,15 @@ void StorageNode::StartPut(ShardState& ss, bson::Document record,
   // heartbeat mechanism" — Fig. 8).
   std::vector<std::string> known_dead;
   known_dead.reserve(targets.size());
-  // Every non-primary target receives the identical replica-copy message,
-  // so it is encoded at most once (lazily: all-dead fan-outs skip it) and
-  // the Document copy per send shares the encoded Binary payload instead
-  // of re-running EncodePutReplica N-1 times.
-  std::optional<bson::Document> replica_body;
+  std::optional<bson::Document> copy_body;
   for (const std::string& target : targets) {
     if (LivenessOf(ss, target) == gossip::Liveness::kDead) {
       known_dead.push_back(target);
       continue;
     }
-    if (target == targets.front()) {
-      PutReplicaMsg msg;
-      msg.req = req;
-      msg.record = record;
-      SendToNode(target, kMsgPutReplica, EncodePutReplica(msg));
-      continue;
-    }
-    if (!replica_body.has_value()) {
-      PutReplicaMsg msg;
-      msg.req = req;
-      msg.record = core::AsReplicaCopy(record);
-      replica_body = EncodePutReplica(msg);
-    }
-    SendToNode(target, kMsgPutReplica, *replica_body);
+    SendPutReplica(req, pending, target, &copy_body);
   }
   if (!known_dead.empty()) {
-    PendingPut& pending = ss.pending_puts.find(req)->second;
     for (const std::string& target : known_dead) {
       pending.responded[target] = true;
       TryHandoff(ss, req, &pending, target);
@@ -680,6 +659,28 @@ void StorageNode::StartPut(ShardState& ss, bson::Document record,
     // an unreachable quorum can already be decided here (fast fail).
     MaybeFinishPut(ss, req, &pending);
   }
+}
+
+void StorageNode::SendPutReplica(std::uint64_t req, const PendingPut& put,
+                                 const std::string& target,
+                                 std::optional<bson::Document>* copy_body) {
+  PutReplicaMsg msg;
+  msg.req = req;
+  if (target == put.primary) {
+    // The primary stores the original (isData=1); a copy there would
+    // silently demote the record.
+    msg.record = put.record;
+    SendToNode(target, kMsgPutReplica, EncodePutReplica(msg));
+    return;
+  }
+  // Every other target receives the identical replica-copy message, so it
+  // is encoded at most once per fan-out (lazily: all-dead fan-outs skip
+  // it) and each send shares the encoded Binary payload.
+  if (!copy_body->has_value()) {
+    msg.record = core::AsReplicaCopy(put.record);
+    *copy_body = EncodePutReplica(msg);
+  }
+  SendToNode(target, kMsgPutReplica, **copy_body);
 }
 
 void StorageNode::HandlePutAck(ShardState& ss, const std::string& from,
@@ -717,12 +718,10 @@ void StorageNode::TryHandoff(ShardState& ss, std::uint64_t req, PendingPut* put,
                              const std::string& failed) {
   if (!config_.hinted_handoff) return;
   const std::size_t want =
-      config_.replication_factor + kHandoffCandidateSlack + put->used.size();
+      config_.replication_factor + kHandoffCandidateSlack + put->responded.size();
   std::vector<std::string> candidates = RingOf(ss).PreferenceList(put->key, want);
   for (const std::string& candidate : candidates) {
-    if (put->used.count(candidate) > 0) continue;
-    put->used.insert(candidate);
-    put->responded.emplace(candidate, false);
+    if (!put->responded.emplace(candidate, false).second) continue;
     HintStoreMsg msg;
     msg.req = req;
     msg.target = failed;
@@ -781,25 +780,9 @@ void StorageNode::OnPutTimeout(ShardState& ss, std::uint64_t req) {
     // First wave: "try to write several times to guarantee the success of
     // writing" — resend to the silent replicas (the outage may have been a
     // dropped message or a short failure that already healed)...
-    // Same encode-once sharing as the StartPut fan-out.
-    std::optional<bson::Document> replica_body;
+    std::optional<bson::Document> copy_body;
     for (const std::string& target : silent) {
-      if (target == put.primary) {
-        PutReplicaMsg msg;
-        msg.req = req;
-        // The primary stores the original (isData=1), mirroring StartPut; a
-        // copy here would silently demote the record on a retried primary.
-        msg.record = put.record;
-        SendToNode(target, kMsgPutReplica, EncodePutReplica(msg));
-        continue;
-      }
-      if (!replica_body.has_value()) {
-        PutReplicaMsg msg;
-        msg.req = req;
-        msg.record = core::AsReplicaCopy(put.record);
-        replica_body = EncodePutReplica(msg);
-      }
-      SendToNode(target, kMsgPutReplica, *replica_body);
+      SendPutReplica(req, put, target, &copy_body);
     }
     put.timeout_event = ss.executor->ScheduleTimer(
         config_.put_timeout / 2, [this, &ss, req]() { OnPutTimeout(ss, req); });
@@ -851,6 +834,7 @@ void StorageNode::CoordinateGet(const std::string& key, GetCallback cb) {
     if (injector_ != nullptr) injector_->MaybeInjectAnywhere();
     const Micros started_at = transport_->NowMicros();
     if (config_.heat_tracking) ss.heat.Record(key, started_at);
+    std::vector<std::string> targets = PreferenceNodes(ss, key);
     if (config_.fast_reads) {
       // Harmonia-style fast path: a key with no write in flight (and nothing
       // recently unsettled) can be answered by the primary holder alone —
@@ -859,64 +843,48 @@ void StorageNode::CoordinateGet(const std::string& key, GetCallback cb) {
       // Anchoring only holds in strict mode (hinted handoff off): with
       // substitutes taking writes for absent holders, a completed write may
       // bypass the primary entirely, so the fast path must stand down.
-      if (RequirePrimaryAck() && KeyIsCleanOnShard(ss, key)) {
-        const std::vector<std::string> targets = PreferenceNodes(ss, key);
-        if (!targets.empty() &&
-            LivenessOf(ss, targets.front()) == gossip::Liveness::kAlive) {
-          // Hot refinement: a clean key the heat sketch flags hot rotates
-          // its payload read across the preference holders instead of
-          // always charging the primary. Ticket 0 (and any turn landing on
-          // the primary or a suspect replica) is a plain primary fast
-          // read, so the rotation degrades gracefully to the fast path.
-          if (config_.hot_reads && config_.heat_tracking &&
-              targets.size() >= 2 && ss.heat.IsHot(key, started_at)) {
-            const std::uint64_t ticket = ss.heat.NextRotation(key);
-            const std::size_t pick = ticket % targets.size();
-            if (pick != 0 &&
-                LivenessOf(ss, targets[pick]) == gossip::Liveness::kAlive) {
-              ++ss.stats.hot_gets_fanned;
-              StartHotGet(ss, key, std::move(cb), started_at, targets[pick],
-                          targets.front());
-              return;
-            }
+      // Fast attempts get half the budget so a demoted read can still
+      // finish a full quorum round inside the caller's patience window.
+      if (RequirePrimaryAck() && KeyIsCleanOnShard(ss, key) &&
+          !targets.empty() &&
+          LivenessOf(ss, targets.front()) == gossip::Liveness::kAlive) {
+        // Hot refinement: a clean key the heat sketch flags hot rotates
+        // its payload read across the preference holders instead of
+        // always charging the primary. Ticket 0 (and any turn landing on
+        // the primary or a suspect replica) is a plain primary fast
+        // read, so the rotation degrades gracefully to the fast path.
+        if (config_.hot_reads && config_.heat_tracking &&
+            targets.size() >= 2 && ss.heat.IsHot(key, started_at)) {
+          const std::uint64_t ticket = ss.heat.NextRotation(key);
+          const std::size_t pick = ticket % targets.size();
+          if (pick != 0 &&
+              LivenessOf(ss, targets[pick]) == gossip::Liveness::kAlive) {
+            ++ss.stats.hot_gets_fanned;
+            IssueRead(ss, key, std::move(cb), started_at,
+                      HotReadPlan(targets[pick], targets.front(),
+                                  config_.get_timeout / 2));
+            return;
           }
-          StartGet(ss, key, std::move(cb), started_at, /*fast_path=*/true);
-          return;
         }
+        IssueRead(ss, key, std::move(cb), started_at,
+                  PrimaryReadPlan(std::move(targets), config_.get_timeout / 2));
+        return;
       }
       ++ss.stats.fast_read_fallbacks;
     }
-    StartGet(ss, key, std::move(cb), started_at, /*fast_path=*/false);
+    IssueRead(ss, key, std::move(cb), started_at,
+              QuorumReadPlan(std::move(targets), config_.read_quorum,
+                             config_.get_timeout,
+                             [this, &ss](const std::string& target) {
+                               return LivenessOf(ss, target) ==
+                                      gossip::Liveness::kDead;
+                             }));
   });
 }
 
-void StorageNode::StartGet(ShardState& ss, const std::string& key,
-                           GetCallback cb, Micros started_at, bool fast_path) {
-  std::vector<std::string> targets = PreferenceNodes(ss, key);
-  if (fast_path) {
-    // Single-replica read at the primary; any miss, error or timeout
-    // demotes to the quorum path instead of concluding.
-    if (!targets.empty()) targets.resize(1);
-  } else {
-    // Skip replicas the detector knows are dead (they cannot answer and
-    // would stall the all-replied miss path) — but never below the read
-    // quorum: the detector can be wrong during asymmetric partitions, and
-    // shrinking the contact list under R would let the read complete
-    // without the R confirmations the R+W>N intersection is built on.
-    // When fewer than R targets look alive, contact the full preference
-    // list and let the timeout decide.
-    std::vector<std::string> alive;
-    alive.reserve(targets.size());
-    for (const std::string& target : targets) {
-      if (LivenessOf(ss, target) != gossip::Liveness::kDead) {
-        alive.push_back(target);
-      }
-    }
-    if (static_cast<int>(alive.size()) >= config_.read_quorum) {
-      targets = std::move(alive);
-    }
-  }
-  if (targets.empty()) {
+void StorageNode::IssueRead(ShardState& ss, const std::string& key,
+                            GetCallback cb, Micros started_at, ReadPlan plan) {
+  if (plan.targets.empty()) {
     ++ss.stats.gets_failed;
     cb(Status::Unavailable("ring is empty"));
     return;
@@ -927,113 +895,28 @@ void StorageNode::StartGet(ShardState& ss, const std::string& key,
   get.key = key;
   get.cb = std::move(cb);
   get.started_at = started_at;
-  get.fast_path = fast_path;
-  // Never degrade below R, even when the ring currently offers fewer
-  // preference nodes: a read that cannot gather R confirmations must fail
-  // rather than silently weaken the quorum. (The fast path's R of 1 is
-  // safe because its write quorums are primary-anchored.)
-  get.needed = fast_path ? 1 : config_.read_quorum;
-  get.targets = targets;
-  // Fast attempts keep half the budget so a demoted read can still finish
-  // a full quorum round inside the caller's patience window.
-  const Micros timeout =
-      fast_path ? config_.get_timeout / 2 : config_.get_timeout;
-  get.timeout_event = ss.executor->ScheduleTimer(
-      timeout, [this, &ss, req]() { OnGetTimeout(ss, req); });
-  ss.pending_gets.emplace(req, std::move(get));
+  get.timeout_event = ss.executor->ScheduleTimer(plan.budget, [this, &ss, req]() {
+    auto it = ss.pending_gets.find(req);
+    if (it != ss.pending_gets.end()) {
+      AdvanceRead(ss, req, it->second, /*timed_out=*/true);
+    }
+  });
+  get.plan = std::move(plan);
+  const ReadPlan& issued =
+      ss.pending_gets.emplace(req, std::move(get)).first->second.plan;
 
   GetReplicaMsg msg;
   msg.req = req;
   msg.key = key;
   const bson::Document body = EncodeGetReplica(msg);
-  for (const std::string& target : targets) {
-    SendToNode(target, kMsgGetReplica, body);
+  for (std::size_t i = 0; i < issued.targets.size(); ++i) {
+    if (static_cast<int>(i) != issued.verifier) {
+      SendToNode(issued.targets[i], kMsgGetReplica, body);
+      continue;
+    }
+    msg.digest_only = true;
+    SendToNode(issued.targets[i], kMsgGetReplica, EncodeGetReplica(msg));
   }
-}
-
-void StorageNode::StartHotGet(ShardState& ss, const std::string& key,
-                              GetCallback cb, Micros started_at,
-                              const std::string& replica,
-                              const std::string& primary) {
-  // Safety: the fanned read still serves *the primary's version*. The
-  // payload comes from `replica`, but it is only handed to the caller when
-  // its (_ts, _origin) exactly equals what the primary reports via the
-  // digest probe — so the answer is indistinguishable from a primary fast
-  // read and the PR 6 primary-anchored intersection argument carries over
-  // unchanged. Any mismatch, miss, error or timeout demotes to the
-  // R-quorum path via the fast-path machinery (fast_path is set for
-  // exactly that reason).
-  const std::uint64_t req = (ss.next_seq++ << kShardBits) |
-                            static_cast<std::uint64_t>(ss.index);
-  PendingGet get;
-  get.key = key;
-  get.cb = std::move(cb);
-  get.started_at = started_at;
-  get.fast_path = true;
-  get.hot_path = true;
-  get.hot_replica = replica;
-  get.needed = 1;
-  get.targets = {replica, primary};
-  get.timeout_event = ss.executor->ScheduleTimer(
-      config_.get_timeout / 2, [this, &ss, req]() { OnGetTimeout(ss, req); });
-  ss.pending_gets.emplace(req, std::move(get));
-
-  GetReplicaMsg payload;
-  payload.req = req;
-  payload.key = key;
-  SendToNode(replica, kMsgGetReplica, EncodeGetReplica(payload));
-  GetReplicaMsg probe;
-  probe.req = req;
-  probe.key = key;
-  probe.digest_only = true;
-  SendToNode(primary, kMsgGetReplica, EncodeGetReplica(probe));
-}
-
-void StorageNode::MaybeFinishHotGet(ShardState& ss, std::uint64_t req,
-                                    PendingGet* get) {
-  const GetReply* payload = nullptr;  // from the rotated replica
-  const GetReply* digest = nullptr;   // from the primary
-  auto payload_it = get->replies.find(get->hot_replica);
-  if (payload_it != get->replies.end()) payload = &payload_it->second;
-  auto digest_it = get->replies.find(get->targets.back());
-  if (digest_it != get->replies.end()) digest = &digest_it->second;
-  // Either half failing or missing its key demotes: a fanned read never
-  // concludes a miss on its own and never serves an unverified value.
-  if ((payload != nullptr && (!payload->ok || !payload->found)) ||
-      (digest != nullptr && (!digest->ok || !digest->found))) {
-    DemoteGet(ss, req, get);
-    return;
-  }
-  if (payload == nullptr || digest == nullptr) return;  // wait for the other half
-  const bool version_matches =
-      core::RecordTimestamp(payload->record) == digest->digest_ts &&
-      core::RecordOrigin(payload->record) == digest->digest_origin;
-  if (!version_matches) {
-    // The replica lags (or leads) the primary — e.g. a read repair or
-    // anti-entropy push still in flight. Serving its copy could return a
-    // version the primary-anchored write quorum never confirmed; demote.
-    DemoteGet(ss, req, get);
-    return;
-  }
-  get->done = true;
-  ++ss.stats.gets_succeeded;
-  ++ss.stats.fast_read_hits;
-  ++ss.stats.hot_read_hits;
-  RecordGetOutcome(ss, *get, req, /*ok=*/true);
-  get->cb(payload->record);
-  FinalizeGet(ss, req, get);
-}
-
-void StorageNode::DemoteGet(ShardState& ss, std::uint64_t req,
-                            PendingGet* get) {
-  ++ss.stats.fast_read_demotions;
-  if (get->hot_path) ++ss.stats.hot_read_demotions;
-  ss.executor->CancelTimer(get->timeout_event);
-  const std::string key = get->key;
-  GetCallback cb = std::move(get->cb);
-  const Micros started_at = get->started_at;
-  ss.pending_gets.erase(req);
-  StartGet(ss, key, std::move(cb), started_at, /*fast_path=*/false);
 }
 
 void StorageNode::HandleCorruptGetAck(ShardState& ss, const std::string& from) {
@@ -1047,23 +930,16 @@ void StorageNode::HandleCorruptGetAck(ShardState& ss, const std::string& from) {
   std::vector<std::uint64_t> affected;
   for (const auto& [req, get] : ss.pending_gets) {
     if (get.replies.count(from) > 0) continue;
-    if (std::find(get.targets.begin(), get.targets.end(), from) !=
-        get.targets.end()) {
+    if (std::find(get.plan.targets.begin(), get.plan.targets.end(), from) !=
+        get.plan.targets.end()) {
       affected.push_back(req);
     }
   }
   for (std::uint64_t req : affected) {
     auto it = ss.pending_gets.find(req);
     if (it == ss.pending_gets.end()) continue;  // concluded by a prior turn
-    PendingGet& get = it->second;
-    if (get.fast_path && !get.done) {
-      DemoteGet(ss, req, &get);
-      continue;
-    }
-    GetReply failed;
-    failed.ok = false;
-    get.replies.emplace(from, std::move(failed));
-    MaybeFinishGet(ss, req, &get);
+    it->second.replies.emplace(from, ReadReply{});
+    AdvanceRead(ss, req, it->second, /*timed_out=*/false);
   }
 }
 
@@ -1082,171 +958,93 @@ void StorageNode::HandleGetAck(ShardState& ss, const std::string& from,
     get.last_service = ack.service_micros;
     get.last_replica = from;
   }
-  GetReply reply;
+  ReadReply reply;
   reply.ok = ack.ok;
   reply.found = ack.found;
   reply.record = std::move(ack.record);
-  reply.digest = ack.digest;
   reply.digest_ts = ack.digest_ts;
   reply.digest_origin = std::move(ack.digest_origin);
-  if (get.hot_path) {
-    // The hot fan-out has its own conclusion logic (payload + digest must
-    // agree); the single-replica retry rule below does not apply.
-    get.replies.emplace(from, std::move(reply));
-    if (!get.done) MaybeFinishHotGet(ss, ack.req, &get);
-    return;
-  }
-  const bool fast_retry = get.fast_path && (!reply.ok || !reply.found);
   get.replies.emplace(from, std::move(reply));
-  if (fast_retry && !get.done) {
-    // The single-replica attempt could not answer. A one-replica miss is
-    // never authoritative (the primary may still be catching up from a
-    // crash) and an error says nothing either way — re-run as a quorum
-    // read before concluding anything.
-    DemoteGet(ss, ack.req, &get);
-    return;
-  }
-  MaybeFinishGet(ss, ack.req, &get);
+  AdvanceRead(ss, ack.req, get, /*timed_out=*/false);
 }
 
-void StorageNode::MaybeFinishGet(ShardState& ss, std::uint64_t req,
-                                 PendingGet* get) {
-  int successes = 0;
-  const bson::Document* winner = nullptr;
-  for (const auto& [from, reply] : get->replies) {
-    if (!reply.ok) continue;
-    ++successes;
-    if (reply.found &&
-        (winner == nullptr || core::SupersedesLww(reply.record, *winner))) {
-      winner = &reply.record;
-    }
-  }
-  const bool all_responded = get->replies.size() == get->targets.size();
-  if (!get->done) {
-    if (winner != nullptr && successes >= get->needed) {
-      // A found record plus R successful reads (R = 1 on the fast path).
-      get->done = true;
-      ++ss.stats.gets_succeeded;
-      if (get->fast_path) ++ss.stats.fast_read_hits;
-      RecordGetOutcome(ss, *get, req, /*ok=*/true);
-      get->cb(*winner);
-    } else if (all_responded) {
-      // "The Get operation gets all replications of the specified key":
-      // a miss is only authoritative once every replica has answered.
-      // Either way the answer needs R successful reads — a value (or a
-      // miss) confirmed by fewer replicas than the read quorum must not
-      // be served as authoritative.
-      get->done = true;
-      if (successes >= get->needed) {
-        if (winner != nullptr) {
-          ++ss.stats.gets_succeeded;
-          RecordGetOutcome(ss, *get, req, /*ok=*/true);
-          get->cb(*winner);
-        } else {
-          ++ss.stats.gets_failed;
-          RecordGetOutcome(ss, *get, req, /*ok=*/false);
-          get->cb(Status::NotFound("no replica has key " + get->key));
-        }
-      } else {
-        ++ss.stats.gets_failed;
-        RecordGetOutcome(ss, *get, req, /*ok=*/false);
-        get->cb(Status::Unavailable("read quorum unreachable for " + get->key));
-      }
-    }
-  }
-  if (all_responded) FinalizeGet(ss, req, get);
-}
-
-void StorageNode::FinalizeGet(ShardState& ss, std::uint64_t req,
-                              PendingGet* get) {
-  // Read repair (§5.2.2): "the Get operation gets all replications of the
-  // specified key, and checks the number of replication. If replications
-  // are less than N ... some more replications are supplemented."
-  // The fast path contacted a single replica, so there is no second reply
-  // to compare against — repair stays a quorum-path concern (dirty keys and
-  // demoted reads keep taking that path, so divergent keys still heal).
-  if (config_.read_repair && !get->fast_path) {
-    const bson::Document* winner = nullptr;
-    for (const auto& [from, reply] : get->replies) {
-      if (!reply.ok || !reply.found) continue;
-      if (winner == nullptr || core::SupersedesLww(reply.record, *winner)) {
-        winner = &reply.record;
-      }
-    }
-    if (winner != nullptr) {
-      for (const std::string& target : get->targets) {
-        auto reply_it = get->replies.find(target);
-        const bool needs_repair =
-            reply_it == get->replies.end() || !reply_it->second.ok ||
-            !reply_it->second.found ||
-            core::SupersedesLww(*winner, reply_it->second.record);
-        if (!needs_repair) continue;
-        if (LivenessOf(ss, target) == gossip::Liveness::kDead) {
-          // A dead node cannot take the repair; the message would sit in
-          // the transport's bounded outbound queue until dropped. Park it
-          // as a hint instead (when handoff is on) so the write-back timer
-          // delivers it once the node returns.
-          ++ss.stats.read_repairs_skipped_dead;
-          if (config_.hinted_handoff) {
-            ss.hints->Add(target, core::AsReplicaCopy(*winner),
-                          transport_->NowMicros());
-          }
-          continue;
-        }
-        PutReplicaMsg repair;
-        repair.req = 0;  // fire-and-forget
-        repair.record = core::AsReplicaCopy(*winner);
-        SendToNode(target, kMsgPutReplica, EncodePutReplica(repair));
-        ++ss.stats.read_repairs;
-      }
-    }
-  }
-  ss.executor->CancelTimer(get->timeout_event);
-  ss.pending_gets.erase(req);
-}
-
-void StorageNode::OnGetTimeout(ShardState& ss, std::uint64_t req) {
-  auto it = ss.pending_gets.find(req);
-  if (it == ss.pending_gets.end()) return;
-  PendingGet& get = it->second;
-  if (get.fast_path && !get.done) {
-    // The single-replica attempt ran out of its half of the budget; spend
-    // the remainder on a full quorum round.
-    DemoteGet(ss, req, &get);
-    return;
-  }
+void StorageNode::AdvanceRead(ShardState& ss, std::uint64_t req,
+                              PendingGet& get, bool timed_out) {
+  const ReadPlan& plan = get.plan;
   if (!get.done) {
-    get.done = true;
-    // Best effort with whatever arrived before the deadline — but never
-    // with fewer than R successful reads: serving a value one straggling
-    // replica returned would bypass the quorum intersection exactly when
-    // it matters most (partitions and slow links). A read that cannot
-    // reach R confirmations fails and lets the client retry elsewhere.
-    int successes = 0;
-    const bson::Document* winner = nullptr;
-    for (const auto& [from, reply] : get.replies) {
-      if (!reply.ok) continue;
-      ++successes;
-      if (reply.found &&
-          (winner == nullptr || core::SupersedesLww(reply.record, *winner))) {
-        winner = &reply.record;
+    const ReadDecision decision = DecideRead(plan, get.replies, timed_out);
+    switch (decision.verdict) {
+      case ReadVerdict::kWait:
+        return;
+      case ReadVerdict::kDemote: {
+        // A fast or hot attempt could not vouch for a value: re-run as a
+        // quorum read from the current ring, under the original start.
+        ++ss.stats.fast_read_demotions;
+        if (plan.verified()) ++ss.stats.hot_read_demotions;
+        ss.executor->CancelTimer(get.timeout_event);
+        const std::string key = std::move(get.key);
+        GetCallback cb = std::move(get.cb);
+        const Micros started_at = get.started_at;
+        ss.pending_gets.erase(req);
+        IssueRead(ss, key, std::move(cb), started_at,
+                  QuorumReadPlan(PreferenceNodes(ss, key), config_.read_quorum,
+                                 config_.get_timeout,
+                                 [this, &ss](const std::string& target) {
+                                   return LivenessOf(ss, target) ==
+                                          gossip::Liveness::kDead;
+                                 }));
+        return;
       }
-    }
-    if (winner != nullptr && successes >= get.needed) {
-      ++ss.stats.gets_succeeded;
-      RecordGetOutcome(ss, get, req, /*ok=*/true);
-      get.cb(*winner);
-    } else if (successes >= get.needed) {
-      ++ss.stats.gets_failed;
-      RecordGetOutcome(ss, get, req, /*ok=*/false);
-      get.cb(Status::NotFound("no replica has key " + get.key));
-    } else {
-      ++ss.stats.gets_failed;
-      RecordGetOutcome(ss, get, req, /*ok=*/false);
-      get.cb(Status::Timeout("read quorum not reached for key " + get.key));
+      case ReadVerdict::kServe:
+        get.done = true;
+        ++ss.stats.gets_succeeded;
+        if (plan.demotes()) ++ss.stats.fast_read_hits;
+        if (plan.verified()) ++ss.stats.hot_read_hits;
+        RecordGetOutcome(ss, get, req, /*ok=*/true);
+        get.cb(*decision.winner);
+        break;
+      case ReadVerdict::kMiss:
+      case ReadVerdict::kUnavailable:
+      case ReadVerdict::kTimeout:
+        get.done = true;
+        ++ss.stats.gets_failed;
+        RecordGetOutcome(ss, get, req, /*ok=*/false);
+        get.cb(decision.verdict == ReadVerdict::kMiss
+                   ? Status::NotFound("no replica has key " + get.key)
+               : decision.verdict == ReadVerdict::kUnavailable
+                   ? Status::Unavailable("read quorum unreachable for " + get.key)
+                   : Status::Timeout("read quorum not reached for key " + get.key));
+        break;
     }
   }
-  FinalizeGet(ss, req, &get);
+  // The read stays pending after its answer until every target replied or
+  // the budget lapsed, so read repair sees every version there is.
+  if (!timed_out && get.replies.size() != plan.targets.size()) return;
+  if (config_.read_repair) {
+    const ReadRepair repair = PlanReadRepair(plan, get.replies);
+    for (std::size_t index : repair.targets) {
+      const std::string& target = plan.targets[index];
+      if (LivenessOf(ss, target) == gossip::Liveness::kDead) {
+        // A dead node cannot take the repair; the message would sit in
+        // the transport's bounded outbound queue until dropped. Park it
+        // as a hint instead (when handoff is on) so the write-back timer
+        // delivers it once the node returns.
+        ++ss.stats.read_repairs_skipped_dead;
+        if (config_.hinted_handoff) {
+          ss.hints->Add(target, core::AsReplicaCopy(*repair.winner),
+                        transport_->NowMicros());
+        }
+        continue;
+      }
+      PutReplicaMsg msg;
+      msg.req = 0;  // fire-and-forget
+      msg.record = core::AsReplicaCopy(*repair.winner);
+      SendToNode(target, kMsgPutReplica, EncodePutReplica(msg));
+      ++ss.stats.read_repairs;
+    }
+  }
+  ss.executor->CancelTimer(get.timeout_event);
+  ss.pending_gets.erase(req);
 }
 
 // --- dirty-set bookkeeping (fast consistent reads) --------------------------
@@ -1352,7 +1150,7 @@ void StorageNode::RecordGetOutcome(ShardState& ss, const PendingGet& get,
   // Demoted reads record on the quorum histogram under their *original*
   // start time: the fast detour they took is part of the latency the
   // caller observed, not a separate measurement.
-  (get.fast_path ? ss.fast_get_latency_hist : ss.quorum_get_latency_hist)
+  (get.plan.demotes() ? ss.fast_get_latency_hist : ss.quorum_get_latency_hist)
       .Record(total);
   metrics::TraceRecord trace;
   trace.req = req;
@@ -1544,11 +1342,7 @@ void StorageNode::OnNodeRemoved(const std::string& node) {
   // data decreasing. So some new replicas should be created and distributed
   // to other nodes." With the rebalancer on, only the designated source per
   // arc streams (throttled, resumable) instead of every holder re-pushing.
-  if (config_.rebalance.enabled) {
-    StartPlannedTransfers(before);
-  } else {
-    ReplicateLocalData(/*purge_unowned=*/false);
-  }
+  StartPlannedTransfers(before);
 }
 
 void StorageNode::OnNodeAdded(const std::string& node, int vnodes) {
@@ -1562,11 +1356,7 @@ void StorageNode::OnNodeAdded(const std::string& node, int vnodes) {
   // "The mapping and migrating operation are executed by the next physical
   // node on the ring": stream the arcs the newcomer now owns to it and drop
   // what this node no longer holds a preference slot for.
-  if (config_.rebalance.enabled) {
-    StartPlannedTransfers(before);
-  } else {
-    ReplicateLocalData(/*purge_unowned=*/true);
-  }
+  StartPlannedTransfers(before);
 }
 
 void StorageNode::AnnounceAddition(const std::string& node, int vnodes) {
@@ -1594,31 +1384,6 @@ std::vector<bson::Document> StorageNode::AllShardRecords() {
                std::make_move_iterator(records->end()));
   }
   return all;
-}
-
-void StorageNode::ReplicateLocalData(bool purge_unowned) {
-  ShardState& system = *shards_[0];
-  for (const bson::Document& record : AllShardRecords()) {
-    const std::string key = core::RecordSelfKey(record);
-    std::vector<std::string> prefs = ring_.PreferenceList(
-        key, config_.replication_factor);
-    bool self_owns = false;
-    for (const std::string& target : prefs) {
-      if (target == id_) {
-        self_owns = true;
-        continue;
-      }
-      PutReplicaMsg msg;
-      msg.req = 0;  // fire-and-forget; LWW makes it idempotent
-      msg.record = core::AsReplicaCopy(record);
-      SendToNode(target, kMsgPutReplica, EncodePutReplica(msg));
-      ++system.stats.rereplications;
-    }
-    if (purge_unowned && !self_owns && !config_.chaos_skip_ownership_purge) {
-      Status s = StoreForKey(key)->Purge(key);  // NOLINT(hotman-shard-affinity) docstore-locked purge from the rebalance path
-      (void)s;
-    }
-  }
 }
 
 // --- elastic membership (src/rebalance/) -------------------------------------
@@ -1782,11 +1547,7 @@ void StorageNode::ApplyReweight(const std::string& node, int vnodes) {
   Status added = ring_.AddNode(node, vnodes);
   (void)added;
   SyncShardRings();
-  if (config_.rebalance.enabled) {
-    StartPlannedTransfers(before);
-  } else {
-    ReplicateLocalData(/*purge_unowned=*/true);
-  }
+  StartPlannedTransfers(before);
 }
 
 void StorageNode::StartAutonomicTimer() {

@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "cluster/config.h"
 #include "cluster/hinted_handoff.h"
 #include "cluster/messages.h"
+#include "cluster/read_plan.h"
 #include "cluster/replica_store.h"
 #include "common/metrics.h"
 #include "common/random.h"
@@ -192,8 +194,7 @@ class StorageNode {
   rebalance::Rebalancer* rebalancer() { return rebalancer_.get(); }
   /// Counters of the node's rebalancer (merged into /stats as rebalance.*).
   rebalance::RebalanceStats rebalance_stats() const {
-    return rebalancer_ != nullptr ? rebalancer_->stats()
-                                  : rebalance::RebalanceStats{};
+    return rebalancer_->stats();
   }
 
   // --- anti-entropy (background consistency, future-work extension) ------
@@ -299,8 +300,7 @@ class StorageNode {
     int acks = 0;
     int timeout_wave = 0;
     bool primary_ok = false;  ///< the primary holder acked the write
-    std::map<std::string, bool> responded;  // target -> answered?
-    std::set<std::string> used;             // every node contacted
+    std::map<std::string, bool> responded;  // every node contacted -> answered?
     std::vector<std::string> pref_targets;  // original preference holders
     std::set<std::string> ok_acks;          // preference holders that acked ok
     net::TimerId timeout_event = 0;
@@ -313,26 +313,12 @@ class StorageNode {
     std::string last_replica;
   };
 
-  struct GetReply {
-    bool ok = false;
-    bool found = false;
-    bson::Document record;
-    // Digest probe replies carry the version only.
-    bool digest = false;
-    std::int64_t digest_ts = 0;
-    std::string digest_origin;
-  };
-
   struct PendingGet {
     std::string key;
     GetCallback cb;
-    bool done = false;
-    bool fast_path = false;  ///< single-replica attempt; failures demote
-    bool hot_path = false;   ///< hot fan-out: replica payload + primary digest
-    std::string hot_replica; ///< the rotated replica serving the payload
-    int needed = 0;
-    std::vector<std::string> targets;
-    std::map<std::string, GetReply> replies;
+    bool done = false;  ///< the caller has its answer
+    ReadPlan plan;
+    ReadReplies replies;
     net::TimerId timeout_event = 0;
     Micros started_at = 0;
     Micros last_queue = 0;
@@ -436,6 +422,12 @@ class StorageNode {
   // Put state machine (all on the key's shard).
   void StartPut(ShardState& ss, bson::Document record,
                 PutCallback cb) HOTMAN_SHARD_AFFINE;
+  /// Sends `put`'s put_replica to `target`: the original record to the
+  /// primary, the replica copy to anyone else. `copy_body` caches the
+  /// encoded copy across one fan-out.
+  void SendPutReplica(std::uint64_t req, const PendingPut& put,
+                      const std::string& target,
+                      std::optional<bson::Document>* copy_body);
   void TryHandoff(ShardState& ss, std::uint64_t req, PendingPut* put,
                   const std::string& failed) HOTMAN_SHARD_AFFINE;
   void OnPutTimeout(ShardState& ss, std::uint64_t req) HOTMAN_SHARD_AFFINE;
@@ -443,27 +435,14 @@ class StorageNode {
   void MaybeFinishPut(ShardState& ss, std::uint64_t req,
                       PendingPut* put) HOTMAN_SHARD_AFFINE;
 
-  // Get state machine. CoordinateGet picks the path; StartGet issues the
-  // actual fan-out (single primary read or R-quorum spread); DemoteGet
-  // re-runs a failed fast attempt through the quorum path.
-  void StartGet(ShardState& ss, const std::string& key, GetCallback cb,
-                Micros started_at, bool fast_path) HOTMAN_SHARD_AFFINE;
-  /// Hot-key fan-out: payload read at `replica` (a rotated non-primary
-  /// holder) plus a digest_only version probe at the primary. The value is
-  /// served only when the replica's version equals the primary's digest;
-  /// any other outcome demotes to the quorum path.
-  void StartHotGet(ShardState& ss, const std::string& key, GetCallback cb,
-                   Micros started_at, const std::string& replica,
-                   const std::string& primary) HOTMAN_SHARD_AFFINE;
-  void MaybeFinishHotGet(ShardState& ss, std::uint64_t req,
-                         PendingGet* get) HOTMAN_SHARD_AFFINE;
-  void DemoteGet(ShardState& ss, std::uint64_t req,
-                 PendingGet* get) HOTMAN_SHARD_AFFINE;
-  void OnGetTimeout(ShardState& ss, std::uint64_t req) HOTMAN_SHARD_AFFINE;
-  void MaybeFinishGet(ShardState& ss, std::uint64_t req,
-                      PendingGet* get) HOTMAN_SHARD_AFFINE;
-  void FinalizeGet(ShardState& ss, std::uint64_t req,
-                   PendingGet* get) HOTMAN_SHARD_AFFINE;
+  // Get state machine. CoordinateGet picks a ReadPlan, IssueRead sends it,
+  // and AdvanceRead applies DecideRead after every reply and the timeout.
+  void IssueRead(ShardState& ss, const std::string& key, GetCallback cb,
+                 Micros started_at, ReadPlan plan) HOTMAN_SHARD_AFFINE;
+  /// Answers the caller, demotes, repairs and retires the read as its
+  /// replies (and `timed_out`) allow.
+  void AdvanceRead(ShardState& ss, std::uint64_t req, PendingGet& get,
+                   bool timed_out) HOTMAN_SHARD_AFFINE;
 
   // Dirty-set bookkeeping for the fast read path (on the key's shard).
   void MarkKeyDirty(ShardState& ss, const std::string& key) HOTMAN_SHARD_AFFINE;
@@ -500,9 +479,6 @@ class StorageNode {
   void DeliverHints(ShardState& ss) HOTMAN_SHARD_AFFINE;
   void OnDetectorTransition(const std::string& endpoint, gossip::Liveness from,
                             gossip::Liveness to);
-
-  // Rebalancing (long failure / node arrival). Shard 0.
-  void ReplicateLocalData(bool purge_unowned);
 
   // Elastic-membership plumbing (shard 0).
   /// Builds the Rebalancer and registers its wire handlers.

@@ -247,9 +247,4 @@ std::string Registry::ToJson() const {
   return out;
 }
 
-Registry* Registry::Default() {
-  static Registry instance;
-  return &instance;
-}
-
 }  // namespace hotman::metrics

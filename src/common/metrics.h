@@ -155,9 +155,6 @@ class Registry {
   /// {"counters":{...},"gauges":{...},"histograms":{name:{count,...}}}
   std::string ToJson() const;
 
-  /// Process-wide default instance (for components with no injection path).
-  static Registry* Default();
-
  private:
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;

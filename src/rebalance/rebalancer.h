@@ -25,10 +25,6 @@ namespace hotman::rebalance {
 /// foreground p99 bounded while a rebalance streams in the background
 /// (measured by bench_rebalance).
 struct RebalanceConfig {
-  /// Master switch: off falls back to the pre-rebalancer behaviour (blunt
-  /// re-replication on membership change, anti-entropy fills new nodes).
-  bool enabled = true;
-
   /// Source-side pacing: records per second across each transfer
   /// (0 = unthrottled). The default keeps a laptop-scale background
   /// rebalance well below foreground service capacity.
