@@ -82,13 +82,13 @@ class Cluster {
   /// holds to the members that inherit it *before* announcing departure and
   /// stopping, so no key drops below N replicas at any point. Pumps the
   /// loop until the decommission completes (or a generous virtual-time
-  /// budget runs out). Falls back to the abrupt path when the rebalancer is
-  /// disabled or the node is not running.
+  /// budget runs out). Falls back to the abrupt path when the node is not
+  /// running.
   Status RemoveNode(const std::string& address);
 
-  /// The pre-rebalancer removal: stop the node first, then announce its
-  /// departure — explicitly *crash* semantics (survivors re-replicate from
-  /// their own copies; any write only the departed node held is lost).
+  /// Abrupt removal: stop the node first, then announce its departure —
+  /// explicitly *crash* semantics (survivors re-replicate from their own
+  /// copies; any write only the departed node held is lost).
   Status RemoveNodeAbrupt(const std::string& address);
 
   /// Starts a graceful decommission without pumping the loop — for callers
