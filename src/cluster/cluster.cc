@@ -407,83 +407,15 @@ rebalance::RebalanceStats Cluster::AggregateRebalanceStats() {
 
 std::string Cluster::StatsJson() {
   metrics::Registry registry;
-  const NodeStats total = AggregateStats();
-  registry.counter("puts_coordinated")->Increment(total.puts_coordinated);
-  registry.counter("puts_succeeded")->Increment(total.puts_succeeded);
-  registry.counter("puts_failed")->Increment(total.puts_failed);
-  registry.counter("gets_coordinated")->Increment(total.gets_coordinated);
-  registry.counter("gets_succeeded")->Increment(total.gets_succeeded);
-  registry.counter("gets_failed")->Increment(total.gets_failed);
-  registry.counter("replica_puts_applied")->Increment(total.replica_puts_applied);
-  registry.counter("replica_gets_served")->Increment(total.replica_gets_served);
-  registry.counter("handoff_writes")->Increment(total.handoff_writes);
-  registry.counter("hints_delivered")->Increment(total.hints_delivered);
-  registry.counter("read_repairs")->Increment(total.read_repairs);
-  registry.counter("read_repairs_skipped_dead")
-      ->Increment(total.read_repairs_skipped_dead);
-  registry.counter("fast_read_hits")->Increment(total.fast_read_hits);
-  registry.counter("fast_read_fallbacks")->Increment(total.fast_read_fallbacks);
-  registry.counter("fast_read_demotions")->Increment(total.fast_read_demotions);
-  registry.counter("hot_gets_fanned")->Increment(total.hot_gets_fanned);
-  registry.counter("hot_read_hits")->Increment(total.hot_read_hits);
-  registry.counter("hot_read_demotions")->Increment(total.hot_read_demotions);
-  registry.counter("replica_digests_served")
-      ->Increment(total.replica_digests_served);
-  registry.counter("get_acks_corrupt")->Increment(total.get_acks_corrupt);
-  registry.counter("rereplications")->Increment(total.rereplications);
-  registry.counter("rebalance_purges")->Increment(total.rebalance_purges);
-  registry.counter("ae_rounds")->Increment(total.ae_rounds);
-  const rebalance::RebalanceStats reb = AggregateRebalanceStats();
-  registry.counter("rebalance.transfers_started")->Increment(reb.transfers_started);
-  registry.counter("rebalance.transfers_completed")
-      ->Increment(reb.transfers_completed);
-  registry.counter("rebalance.transfers_aborted")->Increment(reb.transfers_aborted);
-  registry.counter("rebalance.arcs_planned")->Increment(reb.arcs_planned);
-  registry.counter("rebalance.arcs_completed")->Increment(reb.arcs_completed);
-  registry.counter("rebalance.records_streamed")->Increment(reb.records_streamed);
-  registry.counter("rebalance.bytes_streamed")->Increment(reb.bytes_streamed);
-  registry.counter("rebalance.records_received")->Increment(reb.records_received);
-  registry.counter("rebalance.records_skipped")->Increment(reb.records_skipped);
-  registry.counter("rebalance.throttle_stalls")->Increment(reb.throttle_stalls);
-  registry.counter("rebalance.resumes")->Increment(reb.resumes);
-  registry.counter("rebalance.retries")->Increment(reb.retries);
-  registry.counter("rebalance.autonomic_reweights")
-      ->Increment(reb.autonomic_reweights);
+  HeatSnapshot heat;  // heat.* gauges do not add: merge, then export once
+  for (auto& [address, node] : nodes_) {
+    node->ExportStats(&registry);
+    heat.MergeFrom(node->heat_snapshot(), node->config().heat.capacity);
+  }
+  heat.ExportTo(&registry);
   transport_.ExportStats(&registry);
   registry.gauge("nodes")->Set(static_cast<std::int64_t>(nodes_.size()));
   registry.gauge("virtual_now_us")->Set(loop_.Now());
-  // heat.*: per-key heat merged across every node's shards. Gauges are
-  // int64, so the fractional skew coefficient exports in milli-units.
-  HeatSnapshot heat;
-  for (auto& [address, node] : nodes_) {
-    heat.MergeFrom(node->heat_snapshot(), node->config().heat.capacity);
-  }
-  registry.counter("heat.tracked_ops")
-      ->Increment(static_cast<std::int64_t>(heat.ops));
-  registry.gauge("heat.tracked_keys")
-      ->Set(static_cast<std::int64_t>(heat.top.size()));
-  registry.gauge("heat.top1_qps")
-      ->Set(static_cast<std::int64_t>(heat.top.empty() ? 0.0 : heat.top.front().qps));
-  registry.gauge("heat.total_qps")->Set(static_cast<std::int64_t>(heat.total_qps));
-  registry.gauge("heat.skew_coeff_milli")
-      ->Set(static_cast<std::int64_t>(heat.skew_coefficient * 1000.0));
-  metrics::Histogram* put_lat = registry.histogram("put_latency_us");
-  metrics::Histogram* get_lat = registry.histogram("get_latency_us");
-  metrics::Histogram* fast_get_lat = registry.histogram("fast_get_latency_us");
-  metrics::Histogram* quorum_get_lat =
-      registry.histogram("quorum_get_latency_us");
-  metrics::Histogram* queue_wait = registry.histogram("replica_queue_wait_us");
-  metrics::Histogram* service = registry.histogram("replica_service_us");
-  for (auto& [address, node] : nodes_) {
-    put_lat->MergeFrom(node->put_latency_histogram());
-    get_lat->MergeFrom(node->get_latency_histogram());
-    fast_get_lat->MergeFrom(node->fast_get_latency_histogram());
-    quorum_get_lat->MergeFrom(node->quorum_get_latency_histogram());
-    if (node->station() != nullptr) {
-      queue_wait->MergeFrom(node->station()->queue_wait_histogram());
-      service->MergeFrom(node->station()->service_histogram());
-    }
-  }
   return registry.ToJson();
 }
 

@@ -122,10 +122,11 @@ class Cluster {
   /// "rebalance.*" section).
   rebalance::RebalanceStats AggregateRebalanceStats();
 
-  /// Cluster-wide metrics snapshot as JSON: the AggregateStats counters,
-  /// merged put/get latency histograms, replica queue-wait/service
-  /// histograms and network delivery histogram (the /stats "cluster"
-  /// section).
+  /// Cluster-wide metrics snapshot as JSON (the /stats "cluster" section):
+  /// every node's StorageNode::ExportStats summed (the AggregateStats
+  /// counters, AggregateRebalanceStats as rebalance.*, latency and replica
+  /// station histograms), heat.* over the merged heat snapshots, the
+  /// transport's net.*, and the `nodes` and `virtual_now_us` gauges.
   std::string StatsJson();
 
   /// The most recent `limit` trace records across all coordinators,

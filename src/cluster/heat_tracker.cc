@@ -70,6 +70,18 @@ void HeatSnapshot::MergeFrom(const HeatSnapshot& other, std::size_t capacity) {
   skew_coefficient = FitSkew(top);
 }
 
+void HeatSnapshot::ExportTo(metrics::Registry* registry) const {
+  // Gauges are int64, so the fractional skew coefficient exports in
+  // milli-units.
+  registry->counter("heat.tracked_ops")->Increment(ops);
+  registry->gauge("heat.tracked_keys")->Set(static_cast<std::int64_t>(top.size()));
+  registry->gauge("heat.top1_qps")
+      ->Set(static_cast<std::int64_t>(top.empty() ? 0.0 : top.front().qps));
+  registry->gauge("heat.total_qps")->Set(static_cast<std::int64_t>(total_qps));
+  registry->gauge("heat.skew_coeff_milli")
+      ->Set(static_cast<std::int64_t>(skew_coefficient * 1000.0));
+}
+
 HeatTracker::HeatTracker(HeatConfig config) : config_(config) {
   if (config_.capacity == 0) config_.capacity = 1;
 }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/metrics.h"
 
 namespace hotman::cluster {
 
@@ -53,6 +54,11 @@ struct HeatSnapshot {
   /// `capacity` (truncation can drop different tails under different merge
   /// orders beyond that — acceptable for a stats rollup).
   void MergeFrom(const HeatSnapshot& other, std::size_t capacity);
+
+  /// Writes the heat.* metrics: the tracked_ops counter and the
+  /// tracked_keys, top1_qps, total_qps and skew_coeff_milli gauges. Gauges
+  /// do not add, so a rollup merges its snapshots first and exports once.
+  void ExportTo(metrics::Registry* registry) const;
 
   /// Least-squares fit of -d ln(count) / d ln(rank) over entries (rank 1 =
   /// hottest); 0 when fewer than three usable points. Under a Zipf(theta)

@@ -195,83 +195,11 @@ void NodeServer::HandleClientRebalanceStatus(const net::Message& msg) {
 
 std::string NodeServer::StatsJson() const {
   metrics::Registry registry;
-  // Merged across shards: stats() gathers each shard's counters in that
-  // shard's own execution context, so this is one coherent node-wide view.
-  const NodeStats s = node_->stats();
-  registry.counter("puts_coordinated")->Increment(s.puts_coordinated);
-  registry.counter("puts_succeeded")->Increment(s.puts_succeeded);
-  registry.counter("puts_failed")->Increment(s.puts_failed);
-  registry.counter("gets_coordinated")->Increment(s.gets_coordinated);
-  registry.counter("gets_succeeded")->Increment(s.gets_succeeded);
-  registry.counter("gets_failed")->Increment(s.gets_failed);
-  registry.counter("replica_puts_applied")->Increment(s.replica_puts_applied);
-  registry.counter("replica_gets_served")->Increment(s.replica_gets_served);
-  registry.counter("handoff_writes")->Increment(s.handoff_writes);
-  registry.counter("hints_delivered")->Increment(s.hints_delivered);
-  registry.counter("read_repairs")->Increment(s.read_repairs);
-  registry.counter("read_repairs_skipped_dead")
-      ->Increment(s.read_repairs_skipped_dead);
-  registry.counter("fast_read_hits")->Increment(s.fast_read_hits);
-  registry.counter("fast_read_fallbacks")->Increment(s.fast_read_fallbacks);
-  registry.counter("fast_read_demotions")->Increment(s.fast_read_demotions);
-  registry.counter("hot_gets_fanned")->Increment(s.hot_gets_fanned);
-  registry.counter("hot_read_hits")->Increment(s.hot_read_hits);
-  registry.counter("hot_read_demotions")->Increment(s.hot_read_demotions);
-  registry.counter("replica_digests_served")
-      ->Increment(s.replica_digests_served);
-  registry.counter("get_acks_corrupt")->Increment(s.get_acks_corrupt);
-  registry.counter("rereplications")->Increment(s.rereplications);
-  registry.counter("rebalance_purges")->Increment(s.rebalance_purges);
-  registry.counter("ae_rounds")->Increment(s.ae_rounds);
-  const rebalance::RebalanceStats rb = node_->rebalance_stats();
-  registry.counter("rebalance.transfers_started")
-      ->Increment(rb.transfers_started);
-  registry.counter("rebalance.transfers_completed")
-      ->Increment(rb.transfers_completed);
-  registry.counter("rebalance.transfers_aborted")
-      ->Increment(rb.transfers_aborted);
-  registry.counter("rebalance.arcs_planned")->Increment(rb.arcs_planned);
-  registry.counter("rebalance.arcs_completed")->Increment(rb.arcs_completed);
-  registry.counter("rebalance.records_streamed")
-      ->Increment(rb.records_streamed);
-  registry.counter("rebalance.bytes_streamed")->Increment(rb.bytes_streamed);
-  registry.counter("rebalance.records_received")
-      ->Increment(rb.records_received);
-  registry.counter("rebalance.records_skipped")
-      ->Increment(rb.records_skipped);
-  registry.counter("rebalance.throttle_stalls")
-      ->Increment(rb.throttle_stalls);
-  registry.counter("rebalance.resumes")->Increment(rb.resumes);
-  registry.counter("rebalance.retries")->Increment(rb.retries);
-  registry.counter("rebalance.autonomic_reweights")
-      ->Increment(rb.autonomic_reweights);
+  node_->ExportStats(&registry);
+  node_->heat_snapshot().ExportTo(&registry);
   registry.counter("client_puts")->Increment(client_puts_);
   registry.counter("client_gets")->Increment(client_gets_);
   registry.counter("client_deletes")->Increment(client_deletes_);
-  registry.histogram("put_latency_us")->MergeFrom(node_->put_latency_histogram());
-  registry.histogram("get_latency_us")->MergeFrom(node_->get_latency_histogram());
-  registry.histogram("fast_get_latency_us")
-      ->MergeFrom(node_->fast_get_latency_histogram());
-  registry.histogram("quorum_get_latency_us")
-      ->MergeFrom(node_->quorum_get_latency_histogram());
-  if (node_->station() != nullptr) {
-    registry.histogram("replica_queue_wait_us")
-        ->MergeFrom(node_->station()->queue_wait_histogram());
-    registry.histogram("replica_service_us")
-        ->MergeFrom(node_->station()->service_histogram());
-  }
-  // heat.*: this node's per-key heat, merged across its shards (the skew
-  // coefficient exports in milli-units: gauges are int64).
-  const HeatSnapshot heat = node_->heat_snapshot();
-  registry.counter("heat.tracked_ops")
-      ->Increment(static_cast<std::int64_t>(heat.ops));
-  registry.gauge("heat.tracked_keys")
-      ->Set(static_cast<std::int64_t>(heat.top.size()));
-  registry.gauge("heat.top1_qps")
-      ->Set(static_cast<std::int64_t>(heat.top.empty() ? 0.0 : heat.top.front().qps));
-  registry.gauge("heat.total_qps")->Set(static_cast<std::int64_t>(heat.total_qps));
-  registry.gauge("heat.skew_coeff_milli")
-      ->Set(static_cast<std::int64_t>(heat.skew_coefficient * 1000.0));
   transport_->ExportStats(&registry);
   node_->sharded()->ExportStats(&registry);  // sharded.* (shards, hops, drops)
   return registry.ToJson();

@@ -30,10 +30,6 @@ class NodeServer {
   /// Registers the client_* handlers on the node's dispatcher.
   void Start();
 
-  std::size_t client_puts() const { return client_puts_; }
-  std::size_t client_gets() const { return client_gets_; }
-  std::size_t client_deletes() const { return client_deletes_; }
-
  private:
   void HandleClientPut(const net::Message& msg);
   void HandleClientGet(const net::Message& msg);
@@ -43,8 +39,9 @@ class NodeServer {
   void HandleClientDecommission(const net::Message& msg);
   void HandleClientRebalanceStatus(const net::Message& msg);
 
-  /// The node's single-node metrics snapshot (the /stats JSON): operation
-  /// counters, latency histograms and the transport's net.* counters.
+  /// The node's metrics snapshot (the /stats JSON): StorageNode::ExportStats,
+  /// the node's heat.*, the client_* request counts, the transport's net.*
+  /// and the shard runtime's sharded.*.
   std::string StatsJson() const;
 
   void Reply(const std::string& to, const char* type, bson::Document body);

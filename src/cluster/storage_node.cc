@@ -37,31 +37,7 @@ void CheckOnSystemShard(const std::string& node, const std::string& type) {
 }  // namespace
 
 void NodeStats::MergeFrom(const NodeStats& other) {
-  puts_coordinated += other.puts_coordinated;
-  puts_succeeded += other.puts_succeeded;
-  puts_failed += other.puts_failed;
-  gets_coordinated += other.gets_coordinated;
-  gets_succeeded += other.gets_succeeded;
-  gets_failed += other.gets_failed;
-  replica_puts_applied += other.replica_puts_applied;
-  replica_gets_served += other.replica_gets_served;
-  handoff_writes += other.handoff_writes;
-  hints_delivered += other.hints_delivered;
-  read_repairs += other.read_repairs;
-  read_repairs_skipped_dead += other.read_repairs_skipped_dead;
-  fast_read_hits += other.fast_read_hits;
-  fast_read_fallbacks += other.fast_read_fallbacks;
-  fast_read_demotions += other.fast_read_demotions;
-  hot_gets_fanned += other.hot_gets_fanned;
-  hot_read_hits += other.hot_read_hits;
-  hot_read_demotions += other.hot_read_demotions;
-  replica_digests_served += other.replica_digests_served;
-  get_acks_corrupt += other.get_acks_corrupt;
-  rereplications += other.rereplications;
-  rebalance_purges += other.rebalance_purges;
-  ae_rounds += other.ae_rounds;
-  ae_pushed += other.ae_pushed;
-  ae_requested += other.ae_requested;
+  for (const NodeCounter& c : kNodeCounters) this->*c.field += other.*c.field;
 }
 
 StorageNode::StorageNode(const NodeSpec& spec, const ClusterConfig& config,
@@ -1191,46 +1167,30 @@ HeatSnapshot StorageNode::heat_snapshot() const {
   return merged;
 }
 
-metrics::Histogram StorageNode::put_latency_histogram() const {
-  metrics::Histogram merged;
+void StorageNode::ExportStats(metrics::Registry* registry) const {
   for (const auto& shard : shards_) {
     const ShardState* ss = shard.get();
-    sharded_->PostSync(ss->index,
-                       [ss, &merged] { merged.MergeFrom(ss->put_latency_hist); });
-  }
-  return merged;
-}
-
-metrics::Histogram StorageNode::get_latency_histogram() const {
-  metrics::Histogram merged;
-  for (const auto& shard : shards_) {
-    const ShardState* ss = shard.get();
-    sharded_->PostSync(ss->index,
-                       [ss, &merged] { merged.MergeFrom(ss->get_latency_hist); });
-  }
-  return merged;
-}
-
-metrics::Histogram StorageNode::fast_get_latency_histogram() const {
-  metrics::Histogram merged;
-  for (const auto& shard : shards_) {
-    const ShardState* ss = shard.get();
-    sharded_->PostSync(ss->index, [ss, &merged] {
-      merged.MergeFrom(ss->fast_get_latency_hist);
+    sharded_->PostSync(ss->index, [ss, registry] {
+      for (const NodeCounter& c : kNodeCounters) {
+        registry->counter(c.name)->Increment(ss->stats.*c.field);
+      }
+      registry->histogram("put_latency_us")->MergeFrom(ss->put_latency_hist);
+      registry->histogram("get_latency_us")->MergeFrom(ss->get_latency_hist);
+      registry->histogram("fast_get_latency_us")->MergeFrom(ss->fast_get_latency_hist);
+      registry->histogram("quorum_get_latency_us")
+          ->MergeFrom(ss->quorum_get_latency_hist);
     });
   }
-  return merged;
-}
-
-metrics::Histogram StorageNode::quorum_get_latency_histogram() const {
-  metrics::Histogram merged;
-  for (const auto& shard : shards_) {
-    const ShardState* ss = shard.get();
-    sharded_->PostSync(ss->index, [ss, &merged] {
-      merged.MergeFrom(ss->quorum_get_latency_hist);
-    });
+  const rebalance::RebalanceStats rb = rebalancer_->stats();
+  for (const rebalance::RebalanceCounter& c : rebalance::kRebalanceCounters) {
+    registry->counter(c.name)->Increment(rb.*c.field);
   }
-  return merged;
+  if (station_ != nullptr) {
+    registry->histogram("replica_queue_wait_us")
+        ->MergeFrom(station_->queue_wait_histogram());
+    registry->histogram("replica_service_us")
+        ->MergeFrom(station_->service_histogram());
+  }
 }
 
 std::vector<metrics::TraceRecord> StorageNode::TraceSnapshot() const {

@@ -2,6 +2,7 @@
 #define HOTMAN_CLUSTER_STORAGE_NODE_H_
 
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
@@ -37,7 +38,8 @@ using PutCallback = std::function<void(const Status&)>;
 /// record document (callers check the isDel tombstone flag).
 using GetCallback = std::function<void(const Result<bson::Document>&)>;
 
-/// Operation counters exposed for experiments.
+/// Operation counters exposed for experiments and /stats. Each is a plain
+/// shard-local integer (`++ss.stats.x`), named once in kNodeCounters.
 struct NodeStats {
   std::size_t puts_coordinated = 0;
   std::size_t puts_succeeded = 0;
@@ -65,9 +67,48 @@ struct NodeStats {
   std::size_t ae_pushed = 0;            ///< records pushed by anti-entropy
   std::size_t ae_requested = 0;         ///< records pulled by anti-entropy
 
-  /// Field-wise sum (merging per-shard counters for /stats).
+  /// Field-wise sum (merging per-shard counters), over kNodeCounters.
   void MergeFrom(const NodeStats& other);
 };
+
+/// The /stats name of one NodeStats field.
+struct NodeCounter {
+  const char* name;
+  std::size_t NodeStats::*field;
+};
+
+/// Every NodeStats field with its /stats name: MergeFrom and
+/// StorageNode::ExportStats loop over this, so a new counter is one field
+/// plus one row (the static_assert rejects a field without a row).
+inline constexpr NodeCounter kNodeCounters[] = {
+    {"puts_coordinated", &NodeStats::puts_coordinated},
+    {"puts_succeeded", &NodeStats::puts_succeeded},
+    {"puts_failed", &NodeStats::puts_failed},
+    {"gets_coordinated", &NodeStats::gets_coordinated},
+    {"gets_succeeded", &NodeStats::gets_succeeded},
+    {"gets_failed", &NodeStats::gets_failed},
+    {"replica_puts_applied", &NodeStats::replica_puts_applied},
+    {"replica_gets_served", &NodeStats::replica_gets_served},
+    {"handoff_writes", &NodeStats::handoff_writes},
+    {"hints_delivered", &NodeStats::hints_delivered},
+    {"read_repairs", &NodeStats::read_repairs},
+    {"read_repairs_skipped_dead", &NodeStats::read_repairs_skipped_dead},
+    {"fast_read_hits", &NodeStats::fast_read_hits},
+    {"fast_read_fallbacks", &NodeStats::fast_read_fallbacks},
+    {"fast_read_demotions", &NodeStats::fast_read_demotions},
+    {"hot_gets_fanned", &NodeStats::hot_gets_fanned},
+    {"hot_read_hits", &NodeStats::hot_read_hits},
+    {"hot_read_demotions", &NodeStats::hot_read_demotions},
+    {"replica_digests_served", &NodeStats::replica_digests_served},
+    {"get_acks_corrupt", &NodeStats::get_acks_corrupt},
+    {"rereplications", &NodeStats::rereplications},
+    {"rebalance_purges", &NodeStats::rebalance_purges},
+    {"ae_rounds", &NodeStats::ae_rounds},
+    {"ae_pushed", &NodeStats::ae_pushed},
+    {"ae_requested", &NodeStats::ae_requested},
+};
+static_assert(sizeof(NodeStats) == std::size(kNodeCounters) * sizeof(std::size_t),
+              "every NodeStats field needs a kNodeCounters row");
 
 /// One storage node of the MyStore data storage module (§5.1):
 ///  - the *lower layer* is the embedded MongoDB-like engine
@@ -239,8 +280,6 @@ class StorageNode {
   gossip::Gossiper* gossiper() { return gossiper_.get(); }
   gossip::FailureDetector* detector() { return detector_.get(); }
   docstore::DocStoreServer* server() { return server_.get(); }
-  /// Null when the config disables service-time modeling.
-  sim::ServiceStation* station() { return station_.get(); }
   /// The node's message dispatcher. NodeServer attaches the client-facing
   /// handlers (client_put/get/...) here so one endpoint serves both cluster
   /// and client traffic.
@@ -254,15 +293,13 @@ class StorageNode {
   /// stats().
   HeatSnapshot heat_snapshot() const;
 
-  /// Coordinated-operation latency (enqueue -> outcome callback), success
-  /// and failure combined, merged across shards; the cluster layer merges
-  /// these for /stats.
-  metrics::Histogram put_latency_histogram() const;
-  metrics::Histogram get_latency_histogram() const;
-  /// Per-path read latency: reads decided by the single-replica fast path
-  /// vs. reads that went through (or demoted to) the R-quorum fan-out.
-  metrics::Histogram fast_get_latency_histogram() const;
-  metrics::Histogram quorum_get_latency_histogram() const;
+  /// Adds this node's metrics to `registry`: the kNodeCounters counters,
+  /// the put/get, fast-get and quorum-get latency histograms (enqueue ->
+  /// outcome callback), rebalance.* and, with a service station, its
+  /// replica queue-wait and service histograms. One gather per shard, in
+  /// that shard's own context. Counters add and histograms merge, so
+  /// exporting every node into one registry gives cluster totals.
+  void ExportStats(metrics::Registry* registry) const;
 
   /// Dirty-set introspection (tests + /stats): true when a read of `key`
   /// issued now would be eligible for the single-replica fast path as far
@@ -363,6 +400,9 @@ class StorageNode {
     HeatTracker heat;
     net::TimerId hint_timer = 0;
     NodeStats stats;
+    /// Coordinated-op latency (enqueue -> outcome callback); reads also by
+    /// the plan that answered them: a primary fast or hot read, or the
+    /// R-quorum fan-out (demoted reads included).
     metrics::Histogram put_latency_hist;
     metrics::Histogram get_latency_hist;
     metrics::Histogram fast_get_latency_hist;

@@ -12,19 +12,9 @@
 namespace hotman::rebalance {
 
 void RebalanceStats::MergeFrom(const RebalanceStats& other) {
-  transfers_started += other.transfers_started;
-  transfers_completed += other.transfers_completed;
-  transfers_aborted += other.transfers_aborted;
-  arcs_planned += other.arcs_planned;
-  arcs_completed += other.arcs_completed;
-  records_streamed += other.records_streamed;
-  bytes_streamed += other.bytes_streamed;
-  records_received += other.records_received;
-  records_skipped += other.records_skipped;
-  throttle_stalls += other.throttle_stalls;
-  resumes += other.resumes;
-  retries += other.retries;
-  autonomic_reweights += other.autonomic_reweights;
+  for (const RebalanceCounter& c : kRebalanceCounters) {
+    this->*c.field += other.*c.field;
+  }
 }
 
 Rebalancer::Rebalancer(const RebalanceConfig& config, RebalancerEnv env)

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -68,8 +69,37 @@ struct RebalanceStats {
   std::uint64_t retries = 0;             ///< digests re-sent on stall
   std::uint64_t autonomic_reweights = 0;
 
+  /// Field-wise sum, over kRebalanceCounters.
   void MergeFrom(const RebalanceStats& other);
 };
+
+/// The /stats name of one RebalanceStats field.
+struct RebalanceCounter {
+  const char* name;
+  std::uint64_t RebalanceStats::*field;
+};
+
+/// Every RebalanceStats field with its /stats name: MergeFrom and
+/// StorageNode::ExportStats loop over this, so a new counter is one field
+/// plus one row.
+inline constexpr RebalanceCounter kRebalanceCounters[] = {
+    {"rebalance.transfers_started", &RebalanceStats::transfers_started},
+    {"rebalance.transfers_completed", &RebalanceStats::transfers_completed},
+    {"rebalance.transfers_aborted", &RebalanceStats::transfers_aborted},
+    {"rebalance.arcs_planned", &RebalanceStats::arcs_planned},
+    {"rebalance.arcs_completed", &RebalanceStats::arcs_completed},
+    {"rebalance.records_streamed", &RebalanceStats::records_streamed},
+    {"rebalance.bytes_streamed", &RebalanceStats::bytes_streamed},
+    {"rebalance.records_received", &RebalanceStats::records_received},
+    {"rebalance.records_skipped", &RebalanceStats::records_skipped},
+    {"rebalance.throttle_stalls", &RebalanceStats::throttle_stalls},
+    {"rebalance.resumes", &RebalanceStats::resumes},
+    {"rebalance.retries", &RebalanceStats::retries},
+    {"rebalance.autonomic_reweights", &RebalanceStats::autonomic_reweights},
+};
+static_assert(sizeof(RebalanceStats) ==
+                  std::size(kRebalanceCounters) * sizeof(std::uint64_t),
+              "every RebalanceStats field needs a kRebalanceCounters row");
 
 /// The surface the Rebalancer needs from its host node, as hooks so the
 /// subsystem stays free of cluster/ dependencies (and unit-testable
