@@ -125,19 +125,30 @@ void TcpTransport::Stop() {
   }
   running_.store(false);
   // The loop thread is gone (or never existed); tear down on this thread.
+  // A sender still holding a connection sees it closed and takes the loop
+  // path, where Post drops and counts until the state below is kIdle.
   for (auto& [fd, conn] : conns_) {
-    ::close(fd);
+    ShutConn(conn.get());
     if (conn->established) {
       MutexLock lock(&stats_mu_);
       ++stats_.connections_closed;
       --stats_.connections_open;
     }
   }
+  {
+    MutexLock lock(&conns_mu_);
+    conns_by_peer_.clear();
+  }
   conns_.clear();
-  conns_by_peer_.clear();
   timers_.clear();
   timer_deadline_.clear();
+  if (listen_fd_ >= 0) ::close(listen_fd_);
+  listener_armed_ = false;
+  if (wake_fd_ >= 0) ::close(wake_fd_);
+  if (epoll_fd_ >= 0) ::close(epoll_fd_);
+  listen_fd_ = wake_fd_ = epoll_fd_ = -1;
   {
+    // Only now may a post run inline: the fds it could touch are gone.
     MutexLock lock(&ops_mu_);
     if (!pending_ops_.empty()) {
       // Ops the loop never got to drain: dropped, but accounted for.
@@ -147,11 +158,6 @@ void TcpTransport::Stop() {
     }
     loop_state_ = LoopState::kIdle;
   }
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  listener_armed_ = false;
-  if (wake_fd_ >= 0) ::close(wake_fd_);
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  listen_fd_ = wake_fd_ = epoll_fd_ = -1;
 }
 
 void TcpTransport::AddOrUpdatePeer(const std::string& name, TcpPeer peer) {
@@ -221,6 +227,13 @@ bool TcpTransport::HasEndpoint(const std::string& name) const {
   return endpoints_.count(name) > 0;
 }
 
+std::shared_ptr<TcpTransport::Conn> TcpTransport::FindConn(
+    const std::string& peer) const {
+  MutexLock lock(&conns_mu_);
+  auto it = conns_by_peer_.find(peer);
+  return it == conns_by_peer_.end() ? nullptr : it->second;
+}
+
 void TcpTransport::ArmListener() {
   if (listen_fd_ < 0 || listener_armed_) return;
   epoll_event lev{};
@@ -241,6 +254,13 @@ void TcpTransport::Send(Message msg) {
     Executor* here = ShardContext::CurrentExecutor();
     (here != nullptr ? here : this)->ScheduleTimer(0, LoopbackDelivery(std::move(msg)));
     return;
+  }
+  if (std::shared_ptr<Conn> conn = FindConn(msg.to)) {
+    msg.sent_at = NowMicros();
+    std::string frame;
+    EncodeFrame(msg, &frame);
+    if (WriteFrame(conn.get(), frame)) return;
+    // Closed under us: the loop redials or counts the drop.
   }
   Post([this, msg = std::move(msg)]() mutable { SendOnLoop(std::move(msg)); });
 }
@@ -355,11 +375,10 @@ void TcpTransport::HandleListenReady() {
       return;
     }
     SetNoDelay(fd);
-    auto conn = std::make_unique<Conn>(config_.max_frame_bytes);
-    conn->fd = fd;
-    conn->inbound = true;
+    auto conn = std::make_shared<Conn>(fd, config_.max_frame_bytes,
+                                       /*write_armed=*/false);
     conn->established = true;
-    conn->last_read_at = conn->last_write_progress = NowMicros();
+    conn->last_read_at = NowMicros();
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.fd = fd;
@@ -408,17 +427,20 @@ void TcpTransport::FinishConnect(Conn* conn) {
   }
   conn->connecting = false;
   conn->established = true;
-  conn->last_read_at = conn->last_write_progress = NowMicros();
+  conn->last_read_at = NowMicros();
+  {
+    // Bytes queued behind the connect could not move until now. EPOLLOUT
+    // stays armed; HandleWritable flushes them and disarms.
+    MutexLock lock(&conn->write_mu);
+    conn->last_write_progress = conn->last_read_at;
+  }
   if (auto pit = peers_.find(conn->name); pit != peers_.end()) {
     pit->second.backoff = 0;
     pit->second.next_attempt_at = 0;
   }
-  {
-    MutexLock lock(&stats_mu_);
-    ++stats_.connections_opened;
-    ++stats_.connections_open;
-  }
-  UpdateEpoll(conn);
+  MutexLock lock(&stats_mu_);
+  ++stats_.connections_opened;
+  ++stats_.connections_open;
 }
 
 void TcpTransport::HandleWritable(Conn* conn) {
@@ -427,25 +449,38 @@ void TcpTransport::HandleWritable(Conn* conn) {
     FinishConnect(conn);  // may destroy conn on failure
     if (conns_.find(fd) == conns_.end()) return;
   }
-  while (conn->outbuf_off < conn->outbuf.size()) {
-    const ssize_t n =
-        ::send(conn->fd, conn->outbuf.data() + conn->outbuf_off,
-               conn->outbuf.size() - conn->outbuf_off, MSG_NOSIGNAL);
-    if (n > 0) {
-      conn->outbuf_off += static_cast<std::size_t>(n);
-      conn->last_write_progress = NowMicros();
-      continue;
+  bool failed = false;
+  {
+    MutexLock lock(&conn->write_mu);
+    while (conn->outbuf_off < conn->outbuf.size()) {
+      const ssize_t n =
+          ::send(conn->fd, conn->outbuf.data() + conn->outbuf_off,
+                 conn->outbuf.size() - conn->outbuf_off, MSG_NOSIGNAL);
+      if (n > 0) {
+        conn->outbuf_off += static_cast<std::size_t>(n);
+        conn->last_write_progress = NowMicros();
+        continue;
+      }
+      if (n < 0 && errno == EINTR) continue;
+      failed = !(n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK));
+      break;
     }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    if (n < 0 && errno == EINTR) continue;
-    CloseConn(conn, /*failed=*/false, "write error");
-    return;
+    if (conn->outbuf_off >= conn->outbuf.size()) {
+      conn->outbuf.clear();
+      conn->outbuf_off = 0;
+      SetWriteArmed(conn, false);
+    }
   }
-  if (conn->outbuf_off >= conn->outbuf.size()) {
-    conn->outbuf.clear();
-    conn->outbuf_off = 0;
-    UpdateEpoll(conn);
-  }
+  if (failed) CloseConn(conn, /*failed=*/false, "write error");
+}
+
+void TcpTransport::SetWriteArmed(Conn* conn, bool armed) {
+  if (conn->write_armed == armed) return;
+  epoll_event ev{};
+  ev.events = armed ? (EPOLLIN | EPOLLOUT) : EPOLLIN;
+  ev.data.fd = conn->fd;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
+  conn->write_armed = armed;
 }
 
 void TcpTransport::HandleReadable(Conn* conn) {
@@ -485,7 +520,8 @@ void TcpTransport::HandleReadable(Conn* conn) {
       // Inbound connections announce their identity with their first frame;
       // replies to that peer route back over this connection.
       conn->name = msg.from;
-      conns_by_peer_.emplace(conn->name, conn);
+      MutexLock lock(&conns_mu_);
+      conns_by_peer_.emplace(conn->name, conns_.at(fd));
     }
     DeliverLocally(msg, wire_bytes);
     if (conns_.find(fd) == conns_.end()) return;  // handler closed us
@@ -537,10 +573,7 @@ void TcpTransport::SendOnLoop(Message msg) {
     ++stats_.dropped_not_connected;
     return;
   }
-  Conn* conn = nullptr;
-  if (auto cit = conns_by_peer_.find(msg.to); cit != conns_by_peer_.end()) {
-    conn = cit->second;
-  }
+  std::shared_ptr<Conn> conn = FindConn(msg.to);
   if (conn == nullptr) {
     auto pit = peers_.find(msg.to);
     if (pit == peers_.end()) {
@@ -565,29 +598,65 @@ void TcpTransport::SendOnLoop(Message msg) {
   }
   std::string frame;
   EncodeFrame(msg, &frame);
-  const std::size_t queued = conn->outbuf.size() - conn->outbuf_off;
-  if (queued + frame.size() > config_.max_outbound_queue_bytes) {
+  if (!WriteFrame(conn.get(), frame)) {
     MutexLock lock(&stats_mu_);
     ++stats_.frames_dropped;
-    ++stats_.dropped_backpressure;
-    return;
+    ++stats_.dropped_not_connected;
   }
-  // Compact the consumed prefix before growing (bounded by the watermark).
-  if (conn->outbuf_off > 0 && conn->outbuf_off * 2 > conn->outbuf.size()) {
-    conn->outbuf.erase(0, conn->outbuf_off);
-    conn->outbuf_off = 0;
-  }
-  conn->outbuf += frame;
+}
+
+bool TcpTransport::WriteFrame(Conn* conn, const std::string& frame) {
+  bool shed = false;
   {
-    MutexLock lock(&stats_mu_);
+    MutexLock lock(&conn->write_mu);
+    if (conn->closed) return false;
+    const std::size_t queued = conn->outbuf.size() - conn->outbuf_off;
+    shed = queued + frame.size() > config_.max_outbound_queue_bytes;
+    if (!shed) {
+      std::size_t off = 0;
+      // Nothing queued and no connect in flight: straight to the socket. A
+      // hard error leaves the rest queued; the loop sees it and closes.
+      while (!conn->write_armed && off < frame.size()) {
+        const ssize_t n = ::send(conn->fd, frame.data() + off,
+                                 frame.size() - off, MSG_NOSIGNAL);
+        if (n > 0) {
+          off += static_cast<std::size_t>(n);
+        } else if (n < 0 && errno == EINTR) {
+          continue;
+        } else {
+          break;
+        }
+      }
+      if (off < frame.size()) {
+        if (queued == 0) {
+          // Bytes are first left waiting: the stall clock starts now, not
+          // at whatever progress an idle connection last made.
+          conn->last_write_progress = NowMicros();
+        }
+        // Compact the consumed prefix before growing (bounded by the
+        // watermark).
+        if (conn->outbuf_off > 0 && conn->outbuf_off * 2 > conn->outbuf.size()) {
+          conn->outbuf.erase(0, conn->outbuf_off);
+          conn->outbuf_off = 0;
+        }
+        conn->outbuf.append(frame, off, std::string::npos);
+        SetWriteArmed(conn, true);
+      }
+    }
+  }
+  MutexLock lock(&stats_mu_);
+  if (shed) {
+    ++stats_.frames_dropped;
+    ++stats_.dropped_backpressure;
+  } else {
     ++stats_.frames_sent;
     stats_.bytes_sent += frame.size();
   }
-  UpdateEpoll(conn);
+  return true;
 }
 
-TcpTransport::Conn* TcpTransport::ConnectTo(const std::string& name,
-                                            PeerState* peer) {
+std::shared_ptr<TcpTransport::Conn> TcpTransport::ConnectTo(
+    const std::string& name, PeerState* peer) {
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) return nullptr;
   SetNoDelay(fd);
@@ -611,20 +680,24 @@ TcpTransport::Conn* TcpTransport::ConnectTo(const std::string& name,
     ++stats_.connections_failed;
     return nullptr;
   }
-  auto owned = std::make_unique<Conn>(config_.max_frame_bytes);
-  Conn* conn = owned.get();
-  conn->fd = fd;
+  // EPOLLOUT is armed from the start: it reports the connect's outcome, and
+  // frames sent meanwhile queue behind it.
+  auto conn = std::make_shared<Conn>(fd, config_.max_frame_bytes,
+                                     /*write_armed=*/true);
   conn->name = name;
   conn->connecting = (rc != 0);
   conn->established = (rc == 0);
   conn->connect_started = NowMicros();
-  conn->last_read_at = conn->last_write_progress = conn->connect_started;
+  conn->last_read_at = conn->connect_started;
   epoll_event ev{};
   ev.events = EPOLLIN | EPOLLOUT;
   ev.data.fd = fd;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
-  conns_.emplace(fd, std::move(owned));
-  conns_by_peer_[name] = conn;
+  conns_.emplace(fd, conn);
+  {
+    MutexLock lock(&conns_mu_);
+    conns_by_peer_[name] = conn;
+  }
   if (conn->established) {
     peer->backoff = 0;
     peer->next_attempt_at = 0;
@@ -639,9 +712,12 @@ void TcpTransport::CloseConn(Conn* conn, bool failed, const char* why) {
   HOTMAN_LOG(kDebug) << "closing connection fd " << conn->fd << " ("
                      << (conn->name.empty() ? "?" : conn->name) << "): " << why;
   if (!conn->name.empty()) {
-    if (auto it = conns_by_peer_.find(conn->name);
-        it != conns_by_peer_.end() && it->second == conn) {
-      conns_by_peer_.erase(it);
+    {
+      MutexLock lock(&conns_mu_);
+      if (auto it = conns_by_peer_.find(conn->name);
+          it != conns_by_peer_.end() && it->second.get() == conn) {
+        conns_by_peer_.erase(it);
+      }
     }
     if (failed) {
       if (auto pit = peers_.find(conn->name); pit != peers_.end()) {
@@ -652,8 +728,7 @@ void TcpTransport::CloseConn(Conn* conn, bool failed, const char* why) {
       }
     }
   }
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
-  ::close(conn->fd);
+  ShutConn(conn);
   {
     MutexLock lock(&stats_mu_);
     if (failed) {
@@ -663,17 +738,14 @@ void TcpTransport::CloseConn(Conn* conn, bool failed, const char* why) {
     }
     if (conn->established) --stats_.connections_open;
   }
-  conns_.erase(conn->fd);  // destroys conn
+  conns_.erase(conn->fd);  // destroys conn unless a sender still holds it
 }
 
-void TcpTransport::UpdateEpoll(Conn* conn) {
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  if (conn->connecting || conn->outbuf_off < conn->outbuf.size()) {
-    ev.events |= EPOLLOUT;
-  }
-  ev.data.fd = conn->fd;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
+void TcpTransport::ShutConn(Conn* conn) {
+  MutexLock lock(&conn->write_mu);
+  conn->closed = true;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
+  ::close(conn->fd);
 }
 
 void TcpTransport::Housekeeping() {
@@ -690,8 +762,13 @@ void TcpTransport::Housekeeping() {
       CloseConn(conn, /*failed=*/true, "connect timeout");
       continue;
     }
-    if (conn->established && conn->outbuf_off < conn->outbuf.size() &&
-        now - conn->last_write_progress > config_.write_stall_timeout) {
+    bool stalled = false;
+    if (conn->established) {
+      MutexLock lock(&conn->write_mu);
+      stalled = conn->outbuf_off < conn->outbuf.size() &&
+                now - conn->last_write_progress > config_.write_stall_timeout;
+    }
+    if (stalled) {
       CloseConn(conn, /*failed=*/false, "write stalled");
       continue;
     }

@@ -1,7 +1,9 @@
 // TcpTransport tests: two real transports exchanging frames over loopback,
 // lazy connect + reconnect-with-backoff, self-delivery, backpressure
-// shedding, timers, and hostile-peer handling. Everything binds ephemeral
-// ports, so tests are parallel-safe.
+// shedding, timers, hostile-peer handling, and frames written directly by
+// the sending thread (concurrent senders, a busy loop, a racing Stop, the
+// write-stall clock). Everything binds ephemeral ports, so tests are
+// parallel-safe.
 
 #include "net/tcp_transport.h"
 
@@ -10,8 +12,10 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
@@ -23,6 +27,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "net/frame.h"
 
 namespace hotman::net {
 namespace {
@@ -388,6 +393,269 @@ TEST(TcpTransportTest, PostRacingStopIsRunOrCountedNeverLost) {
   EXPECT_TRUE(ran_inline);
   EXPECT_EQ(CounterValue(transport, "net.posts_dropped_stopped"),
             dropped_before);
+}
+
+/// A server transport with one endpoint "srv" and a client dialled to it,
+/// with the connection already up (one "warmup" frame has arrived).
+struct ConnectedPair {
+  explicit ConnectedPair(TcpTransport::Handler handler,
+                         TcpTransportConfig client_config = {}) {
+    TcpTransportConfig server_config;
+    server_config.listen_port = 0;
+    server = std::make_unique<TcpTransport>(server_config);
+    EXPECT_TRUE(server->Start().ok());
+    server->RegisterEndpoint("srv", std::move(handler));
+    client_config.listen_port = -1;
+    client_config.peers["srv"] = TcpPeer{"127.0.0.1", server->listen_port()};
+    client = std::make_unique<TcpTransport>(client_config);
+    EXPECT_TRUE(client->Start().ok());
+    client->Send(Make("cli", "srv", "warmup"));
+    EXPECT_TRUE(WaitUntil([&] {
+      return CounterValue(*server, "net.frames_delivered") >= 1;
+    }));
+  }
+
+  std::unique_ptr<TcpTransport> server;
+  std::unique_ptr<TcpTransport> client;
+};
+
+// A frame for an established connection leaves on the thread that sends it:
+// with the client's loop parked in a closure, a frame sent from this thread
+// still reaches the server.
+TEST(TcpTransportTest, ForeignThreadFrameLeavesWhileLoopIsBusy) {
+  Mailbox inbox;
+  ConnectedPair pair(inbox.AsHandler());
+  ASSERT_EQ(inbox.count(), 1u);
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool parked = false;
+  bool release = false;
+  pair.client->Post([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    parked = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+  });
+  bool was_parked = false;
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    was_parked = cv.wait_for(lock, 5s, [&] { return parked; });
+  }
+  bool arrived = false;
+  if (was_parked) {
+    pair.client->Send(Make("cli", "srv", "direct", 2));
+    arrived = WaitUntil([&] { return inbox.count() >= 2; }, 2000);
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  ASSERT_TRUE(was_parked);
+  EXPECT_TRUE(arrived) << "the frame waited for the client's loop";
+  ASSERT_TRUE(WaitUntil([&] { return inbox.count() >= 2; }));
+  EXPECT_EQ(inbox.at(1).type, "direct");
+  pair.client->Stop();
+  pair.server->Stop();
+}
+
+// Four threads share one connection. The server stalls on its first frames,
+// so the client's socket buffers fill and writes come up short and queue:
+// every frame still arrives once, in its sender's order, and no counter
+// reports a drop.
+TEST(TcpTransportTest, ConcurrentSendersToOnePeerKeepEachThreadsOrder) {
+  constexpr int kThreads = 4;
+  constexpr int kFramesPerThread = 500;
+  constexpr std::size_t kTotal = kThreads * kFramesPerThread;
+
+  std::mutex mu;
+  std::vector<std::vector<std::int64_t>> seqs(kThreads);
+  std::size_t handled = 0;
+  TcpTransportConfig client_config;
+  client_config.max_outbound_queue_bytes = 128u * 1024 * 1024;  // shed none
+  ConnectedPair pair(
+      [&](const Message& msg) {
+        if (msg.type != "bulk") return;
+        std::size_t n = 0;
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          n = handled++;
+          seqs.at(static_cast<std::size_t>(msg.body.Get("thread")->as_int64()))
+              .push_back(msg.body.Get("seq")->as_int64());
+        }
+        if (n < 4) std::this_thread::sleep_for(50ms);
+      },
+      client_config);
+  TcpTransport& client = *pair.client;
+  TcpTransport& server = *pair.server;
+  const std::uint64_t sent_before = CounterValue(client, "net.frames_sent");
+  const std::uint64_t delivered_before =
+      CounterValue(server, "net.frames_delivered");
+
+  const std::string pad(32 * 1024, 'x');
+  std::vector<std::thread> senders;
+  for (int t = 0; t < kThreads; ++t) {
+    senders.emplace_back([&client, &pad, t] {
+      for (int i = 0; i < kFramesPerThread; ++i) {
+        Message msg = Make("cli", "srv", "bulk", i);
+        msg.body.Append("thread", bson::Value(static_cast<std::int64_t>(t)));
+        msg.body.Append("pad", bson::Value(pad));
+        client.Send(std::move(msg));
+      }
+    });
+  }
+  for (auto& thread : senders) thread.join();
+  ASSERT_TRUE(WaitUntil([&] {
+    std::lock_guard<std::mutex> lock(mu);
+    return handled >= kTotal;
+  }, 30000));
+
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(handled, kTotal);
+    for (int t = 0; t < kThreads; ++t) {
+      const auto& got = seqs[static_cast<std::size_t>(t)];
+      EXPECT_EQ(got.size(), static_cast<std::size_t>(kFramesPerThread))
+          << "thread " << t;
+      for (std::size_t i = 1; i < got.size(); ++i) {
+        ASSERT_LT(got[i - 1], got[i]) << "thread " << t << " at " << i;
+      }
+    }
+  }
+  EXPECT_EQ(CounterValue(client, "net.frames_sent") - sent_before, kTotal);
+  EXPECT_EQ(CounterValue(server, "net.frames_delivered") - delivered_before,
+            kTotal);
+  EXPECT_EQ(CounterValue(client, "net.frames_dropped"), 0u);
+  EXPECT_EQ(CounterValue(client, "net.dropped_backpressure"), 0u);
+  EXPECT_EQ(CounterValue(client, "net.dropped_not_connected"), 0u);
+  EXPECT_EQ(CounterValue(server, "net.frames_dropped"), 0u);
+  EXPECT_EQ(CounterValue(client, "net.connections_closed"), 0u);
+  client.Stop();
+  server.Stop();
+}
+
+// Conservation law for Send() racing Stop(), on the direct path: every frame
+// is sent (written or queued on a live connection) or counted as dropped,
+// whether it was written directly, handed to the loop, caught in the
+// stopping window or sent after Stop() returned.
+TEST(TcpTransportTest, SendsRacingStopAreSentOrCountedNeverLost) {
+  constexpr int kThreads = 6;
+  constexpr int kMaxSendsPerThread = 50000;
+
+  std::atomic<std::uint64_t> handled{0};
+  ConnectedPair pair([&handled](const Message&) { ++handled; });
+  TcpTransport& client = *pair.client;
+  const auto accounted = [&client] {
+    return CounterValue(client, "net.frames_sent") +
+           CounterValue(client, "net.frames_dropped") +
+           CounterValue(client, "net.posts_dropped_stopped");
+  };
+  const std::uint64_t accounted_before = accounted();
+
+  std::atomic<bool> go{false};
+  std::atomic<bool> stopped{false};
+  std::atomic<std::uint64_t> sends{0};
+  std::vector<std::thread> senders;
+  for (int t = 0; t < kThreads; ++t) {
+    senders.emplace_back([&] {
+      while (!go.load()) std::this_thread::yield();
+      for (int i = 0; i < kMaxSendsPerThread && !stopped.load(); ++i) {
+        client.Send(Make("cli", "srv", "hammer", i));
+        ++sends;
+      }
+      client.Send(Make("cli", "srv", "late"));  // after Stop(): inline drop
+      ++sends;
+    });
+  }
+  go.store(true);
+  std::this_thread::sleep_for(2ms);
+  client.Stop();
+  stopped.store(true);
+  for (auto& thread : senders) thread.join();
+
+  EXPECT_EQ(accounted() - accounted_before, sends.load())
+      << "sent=" << CounterValue(client, "net.frames_sent")
+      << " dropped=" << CounterValue(client, "net.frames_dropped")
+      << " posts_dropped_stopped="
+      << CounterValue(client, "net.posts_dropped_stopped");
+  // Some hammer frames went out directly before the stop.
+  EXPECT_TRUE(WaitUntil([&handled] { return handled.load() > 1; }));
+  pair.server->Stop();
+}
+
+// The write-stall clock starts when bytes are first left waiting, not at the
+// connection's last progress: a connection idle for longer than
+// write_stall_timeout survives a burst its peer does not read for a while.
+TEST(TcpTransportTest, StallClockStartsWhenBytesAreFirstLeftWaiting) {
+  const int lfd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(lfd, 0);
+  const int small_buffer = 64 * 1024;
+  ASSERT_EQ(::setsockopt(lfd, SOL_SOCKET, SO_RCVBUF, &small_buffer,
+                         sizeof(small_buffer)), 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::listen(lfd, 8), 0);
+  sockaddr_in bound{};
+  socklen_t blen = sizeof(bound);
+  ASSERT_EQ(::getsockname(lfd, reinterpret_cast<sockaddr*>(&bound), &blen), 0);
+
+  TcpTransportConfig config;
+  config.listen_port = -1;
+  config.peers["sink"] = TcpPeer{"127.0.0.1", ntohs(bound.sin_port)};
+  config.write_stall_timeout = kMicrosPerSecond;
+  config.max_outbound_queue_bytes = 64u * 1024 * 1024;  // shed none
+  TcpTransport transport(config);
+  ASSERT_TRUE(transport.Start().ok());
+
+  transport.Send(Make("cli", "sink", "hello", 0));
+  const int fd = ::accept(lfd, nullptr, nullptr);
+  ASSERT_GE(fd, 0);
+  timeval tv{};
+  tv.tv_usec = 100 * 1000;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)), 0);
+  FrameReader reader;
+  std::vector<std::int64_t> seqs;
+  const auto drain = [&](int want, int timeout_ms) {
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(timeout_ms);
+    char buf[65536];
+    while (static_cast<int>(seqs.size()) < want &&
+           std::chrono::steady_clock::now() < deadline) {
+      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+      if (n == 0) return;  // the transport closed the connection
+      if (n < 0) continue;  // receive timeout
+      reader.Append(std::string_view(buf, static_cast<std::size_t>(n)));
+      Message msg;
+      bool complete = false;
+      while (reader.Next(&msg, &complete).ok() && complete) {
+        seqs.push_back(msg.body.Get("seq")->as_int64());
+      }
+    }
+  };
+  drain(1, 5000);
+  ASSERT_EQ(seqs.size(), 1u);
+
+  std::this_thread::sleep_for(1500ms);  // idle past write_stall_timeout
+  constexpr int kBurst = 128;           // 8 MiB: far past the socket buffers
+  const std::string pad(64 * 1024, 'x');
+  for (int i = 1; i <= kBurst; ++i) {
+    Message msg = Make("cli", "sink", "bulk", i);
+    msg.body.Append("pad", bson::Value(pad));
+    transport.Send(std::move(msg));
+  }
+  std::this_thread::sleep_for(300ms);  // longer than a housekeeping period
+  drain(1 + kBurst, 10000);
+
+  ASSERT_EQ(seqs.size(), static_cast<std::size_t>(1 + kBurst));
+  for (int i = 0; i <= kBurst; ++i) EXPECT_EQ(seqs[static_cast<std::size_t>(i)], i);
+  EXPECT_EQ(CounterValue(transport, "net.connections_closed"), 0u);
+  EXPECT_EQ(CounterValue(transport, "net.frames_dropped"), 0u);
+  transport.Stop();
+  ::close(fd);
+  ::close(lfd);
 }
 
 }  // namespace
