@@ -59,7 +59,7 @@ GossipResult RunGossip(int nodes, int seeds, gossip::GossipConfig config,
   // Inject a fresh state at node 0 and time full propagation.
   const Micros t0 = loop.Now();
   gossipers[0]->SetLocalState("marker", "sentinel");
-  const std::size_t msgs_before = network.messages_sent();
+  const std::size_t msgs_before = network.stats().frames_sent;
   GossipResult result;
   for (int tick = 0; tick < 600; ++tick) {
     loop.RunFor(100 * kMicrosPerMilli);
@@ -81,7 +81,7 @@ GossipResult RunGossip(int nodes, int seeds, gossip::GossipConfig config,
   }
   const double elapsed_s = static_cast<double>(loop.Now() - t0) / kMicrosPerSecond;
   result.msgs_per_node_s =
-      static_cast<double>(network.messages_sent() - msgs_before) /
+      static_cast<double>(network.stats().frames_sent - msgs_before) /
       std::max(0.1, elapsed_s) / nodes;
   return result;
 }

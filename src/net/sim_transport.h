@@ -33,7 +33,7 @@ class SimTransport : public Transport {
   }
   void Send(Message msg) override;
   void ExportStats(metrics::Registry* registry) const override {
-    network_.ExportStats(registry);
+    network_.stats().ExportTo(registry);
   }
 
   // Executor surface (delegates to the sim loop).
@@ -77,13 +77,6 @@ class SimTransport : public Transport {
     network_.ClearEndpointChaos(name);
   }
   void ClearAllChaos() { network_.ClearAllChaos(); }
-
-  std::size_t messages_sent() const { return network_.messages_sent(); }
-  std::size_t messages_dropped() const { return network_.messages_dropped(); }
-  std::size_t bytes_sent() const { return network_.bytes_sent(); }
-  const metrics::Histogram& delivery_histogram() const {
-    return network_.delivery_histogram();
-  }
 
   /// The underlying simulator, for components that are explicitly sim-aware
   /// (FailureInjector). Cluster/gossip code must not touch this.

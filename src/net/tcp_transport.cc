@@ -129,11 +129,7 @@ void TcpTransport::Stop() {
   // path, where Post drops and counts until the state below is kIdle.
   for (auto& [fd, conn] : conns_) {
     ShutConn(conn.get());
-    if (conn->established) {
-      MutexLock lock(&stats_mu_);
-      ++stats_.connections_closed;
-      --stats_.connections_open;
-    }
+    if (conn->established) CountConnection(&NetStats::connections_closed, -1);
   }
   {
     MutexLock lock(&conns_mu_);
@@ -232,6 +228,17 @@ std::shared_ptr<TcpTransport::Conn> TcpTransport::FindConn(
   MutexLock lock(&conns_mu_);
   auto it = conns_by_peer_.find(peer);
   return it == conns_by_peer_.end() ? nullptr : it->second;
+}
+
+void TcpTransport::CountDrop(NetStats::Field cause) {
+  MutexLock lock(&stats_mu_);
+  stats_.Drop(cause);
+}
+
+void TcpTransport::CountConnection(NetStats::Field event, int open_delta) {
+  MutexLock lock(&stats_mu_);
+  ++(stats_.*event);
+  connections_open_ += open_delta;
 }
 
 void TcpTransport::ArmListener() {
@@ -384,11 +391,7 @@ void TcpTransport::HandleListenReady() {
     ev.data.fd = fd;
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
     conns_.emplace(fd, std::move(conn));
-    {
-      MutexLock lock(&stats_mu_);
-      ++stats_.connections_accepted;
-      ++stats_.connections_open;
-    }
+    CountConnection(&NetStats::connections_accepted, +1);
   }
 }
 
@@ -438,9 +441,7 @@ void TcpTransport::FinishConnect(Conn* conn) {
     pit->second.backoff = 0;
     pit->second.next_attempt_at = 0;
   }
-  MutexLock lock(&stats_mu_);
-  ++stats_.connections_opened;
-  ++stats_.connections_open;
+  CountConnection(&NetStats::connections_opened, +1);
 }
 
 void TcpTransport::HandleWritable(Conn* conn) {
@@ -537,17 +538,12 @@ void TcpTransport::DeliverLocally(const Message& msg, std::size_t wire_bytes) {
     }
   }
   if (handler == nullptr) {
-    MutexLock lock(&stats_mu_);
-    ++stats_.frames_dropped;
-    ++stats_.dropped_no_endpoint;
+    CountDrop(&NetStats::dropped_no_endpoint);
     return;
   }
   {
     MutexLock lock(&stats_mu_);
-    ++stats_.frames_delivered;
-    stats_.bytes_delivered += wire_bytes;
-    const Micros latency = std::max<Micros>(NowMicros() - msg.sent_at, 0);
-    stats_.latency_by_type[msg.type].Record(latency);
+    stats_.Deliver(msg, wire_bytes, NowMicros());
   }
   (*handler)(msg);
 }
@@ -568,40 +564,29 @@ std::function<void()> TcpTransport::LoopbackDelivery(Message msg) {
 void TcpTransport::SendOnLoop(Message msg) {
   msg.sent_at = NowMicros();
   if (epoll_fd_ < 0) {
-    MutexLock lock(&stats_mu_);
-    ++stats_.frames_dropped;
-    ++stats_.dropped_not_connected;
+    CountDrop(&NetStats::dropped_not_connected);
     return;
   }
   std::shared_ptr<Conn> conn = FindConn(msg.to);
   if (conn == nullptr) {
     auto pit = peers_.find(msg.to);
     if (pit == peers_.end()) {
-      MutexLock lock(&stats_mu_);
-      ++stats_.frames_dropped;
-      ++stats_.dropped_no_endpoint;
+      CountDrop(&NetStats::dropped_no_endpoint);
       return;
     }
-    if (NowMicros() < pit->second.next_attempt_at) {
-      MutexLock lock(&stats_mu_);
-      ++stats_.frames_dropped;
-      ++stats_.dropped_not_connected;
-      return;
+    // Inside the reconnect backoff window no dial is made.
+    if (NowMicros() >= pit->second.next_attempt_at) {
+      conn = ConnectTo(msg.to, &pit->second);
     }
-    conn = ConnectTo(msg.to, &pit->second);
     if (conn == nullptr) {
-      MutexLock lock(&stats_mu_);
-      ++stats_.frames_dropped;
-      ++stats_.dropped_not_connected;
+      CountDrop(&NetStats::dropped_not_connected);
       return;
     }
   }
   std::string frame;
   EncodeFrame(msg, &frame);
   if (!WriteFrame(conn.get(), frame)) {
-    MutexLock lock(&stats_mu_);
-    ++stats_.frames_dropped;
-    ++stats_.dropped_not_connected;
+    CountDrop(&NetStats::dropped_not_connected);
   }
 }
 
@@ -644,14 +629,13 @@ bool TcpTransport::WriteFrame(Conn* conn, const std::string& frame) {
       }
     }
   }
-  MutexLock lock(&stats_mu_);
   if (shed) {
-    ++stats_.frames_dropped;
-    ++stats_.dropped_backpressure;
-  } else {
-    ++stats_.frames_sent;
-    stats_.bytes_sent += frame.size();
+    CountDrop(&NetStats::dropped_backpressure);
+    return true;
   }
+  MutexLock lock(&stats_mu_);
+  ++stats_.frames_sent;
+  stats_.bytes_sent += frame.size();
   return true;
 }
 
@@ -676,8 +660,7 @@ std::shared_ptr<TcpTransport::Conn> TcpTransport::ConnectTo(
                                        config_.reconnect_backoff_min,
                                        config_.reconnect_backoff_max);
     peer->next_attempt_at = NowMicros() + peer->backoff;
-    MutexLock lock(&stats_mu_);
-    ++stats_.connections_failed;
+    CountConnection(&NetStats::connections_failed, 0);
     return nullptr;
   }
   // EPOLLOUT is armed from the start: it reports the connect's outcome, and
@@ -701,9 +684,7 @@ std::shared_ptr<TcpTransport::Conn> TcpTransport::ConnectTo(
   if (conn->established) {
     peer->backoff = 0;
     peer->next_attempt_at = 0;
-    MutexLock lock(&stats_mu_);
-    ++stats_.connections_opened;
-    ++stats_.connections_open;
+    CountConnection(&NetStats::connections_opened, +1);
   }
   return conn;
 }
@@ -729,15 +710,8 @@ void TcpTransport::CloseConn(Conn* conn, bool failed, const char* why) {
     }
   }
   ShutConn(conn);
-  {
-    MutexLock lock(&stats_mu_);
-    if (failed) {
-      ++stats_.connections_failed;
-    } else {
-      ++stats_.connections_closed;
-    }
-    if (conn->established) --stats_.connections_open;
-  }
+  CountConnection(failed ? &NetStats::connections_failed : &NetStats::connections_closed,
+                  conn->established ? -1 : 0);
   conns_.erase(conn->fd);  // destroys conn unless a sender still holds it
 }
 
@@ -784,31 +758,8 @@ void TcpTransport::Housekeeping() {
 
 void TcpTransport::ExportStats(metrics::Registry* registry) const {
   MutexLock lock(&stats_mu_);
-  registry->counter("net.frames_sent")->Increment(stats_.frames_sent);
-  registry->counter("net.frames_delivered")->Increment(stats_.frames_delivered);
-  registry->counter("net.frames_dropped")->Increment(stats_.frames_dropped);
-  registry->counter("net.bytes_sent")->Increment(stats_.bytes_sent);
-  registry->counter("net.bytes_delivered")->Increment(stats_.bytes_delivered);
-  registry->counter("net.dropped_no_endpoint")
-      ->Increment(stats_.dropped_no_endpoint);
-  registry->counter("net.dropped_not_connected")
-      ->Increment(stats_.dropped_not_connected);
-  registry->counter("net.dropped_backpressure")
-      ->Increment(stats_.dropped_backpressure);
-  registry->counter("net.connections_opened")
-      ->Increment(stats_.connections_opened);
-  registry->counter("net.connections_accepted")
-      ->Increment(stats_.connections_accepted);
-  registry->counter("net.connections_failed")
-      ->Increment(stats_.connections_failed);
-  registry->counter("net.connections_closed")
-      ->Increment(stats_.connections_closed);
-  registry->counter("net.posts_dropped_stopped")
-      ->Increment(stats_.posts_dropped_stopped);
-  registry->gauge("net.connections_open")->Set(stats_.connections_open);
-  for (const auto& [type, hist] : stats_.latency_by_type) {
-    registry->histogram("net.frame_latency." + type)->MergeFrom(hist);
-  }
+  stats_.ExportTo(registry);
+  registry->gauge("net.connections_open")->Set(connections_open_);
 }
 
 }  // namespace hotman::net

@@ -16,6 +16,7 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "net/frame.h"
+#include "net/net_stats.h"
 #include "net/transport.h"
 
 namespace hotman::net {
@@ -186,6 +187,11 @@ class TcpTransport : public Transport {
   /// returns the closure that delivers it, for the sender to defer.
   std::function<void()> LoopbackDelivery(Message msg);
   bool HasEndpoint(const std::string& name) const;
+  /// Counts one dropped frame under `cause` (NetStats::Drop).
+  void CountDrop(NetStats::Field cause);
+  /// Counts one connection event and moves the net.connections_open gauge
+  /// by `open_delta`.
+  void CountConnection(NetStats::Field event, int open_delta);
   std::shared_ptr<Conn> FindConn(const std::string& peer) const;
   /// Writes `frame` to `conn` on the calling thread: straight to the socket
   /// when nothing is queued, else (or for what a short write leaves) into
@@ -265,27 +271,12 @@ class TcpTransport : public Transport {
   mutable Mutex hook_mu_;
   std::function<void()> tick_hook_ HOTMAN_GUARDED_BY(hook_mu_);
 
-  // Counters/histograms live behind their own lock because ExportStats may
-  // run off-loop (the daemon's stats endpoint) while senders record.
-  struct Stats {
-    std::uint64_t frames_sent = 0;
-    std::uint64_t frames_delivered = 0;
-    std::uint64_t frames_dropped = 0;
-    std::uint64_t bytes_sent = 0;
-    std::uint64_t bytes_delivered = 0;
-    std::uint64_t dropped_no_endpoint = 0;
-    std::uint64_t dropped_not_connected = 0;
-    std::uint64_t dropped_backpressure = 0;
-    std::uint64_t connections_opened = 0;
-    std::uint64_t connections_accepted = 0;
-    std::uint64_t connections_failed = 0;
-    std::uint64_t connections_closed = 0;
-    std::uint64_t posts_dropped_stopped = 0;
-    std::int64_t connections_open = 0;
-    std::map<std::string, metrics::Histogram> latency_by_type;
-  };
+  // Counters and frame latencies live behind their own lock because
+  // ExportStats may run off-loop (the daemon's stats endpoint) while
+  // senders record.
   mutable Mutex stats_mu_ HOTMAN_ACQUIRED_AFTER(ops_mu_);
-  Stats stats_ HOTMAN_GUARDED_BY(stats_mu_);
+  NetStats stats_ HOTMAN_GUARDED_BY(stats_mu_);
+  std::int64_t connections_open_ HOTMAN_GUARDED_BY(stats_mu_) = 0;
 };
 
 }  // namespace hotman::net

@@ -4,8 +4,6 @@
 
 namespace hotman::net {
 
-void Transport::ExportStats(metrics::Registry* /*registry*/) const {}
-
 void Dispatcher::On(const std::string& type, Handler handler) {
   handlers_[type] = std::move(handler);
 }

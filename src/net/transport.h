@@ -45,10 +45,10 @@ class Transport : public Executor {
   /// fire-and-forget; the transport stamps msg.sent_at.
   virtual void Send(Message msg) = 0;
 
-  /// Writes this transport's counters/gauges/histograms into `registry`
-  /// under the shared "net.*" vocabulary (see DESIGN.md "net"), so sim
-  /// benches and real `hotmand` runs feed one dashboard. Default: nothing.
-  virtual void ExportStats(metrics::Registry* registry) const;
+  /// Writes this transport's net.* metrics into `registry`, every NetStats
+  /// row (net/net_stats.h) included, so sim benches and real `hotmand`
+  /// runs feed one dashboard.
+  virtual void ExportStats(metrics::Registry* registry) const = 0;
 };
 
 /// Per-type handler table: the piece every endpoint used to hand-roll as an

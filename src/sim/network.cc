@@ -88,8 +88,8 @@ Micros SimNetwork::DeliveryDelay(std::size_t payload_bytes) {
 }
 
 bool SimNetwork::Send(Message msg, std::size_t payload_bytes) {
-  ++frames_sent_;
-  bytes_sent_ += payload_bytes;
+  ++stats_.frames_sent;
+  stats_.bytes_sent += payload_bytes;
   const bool no_endpoint = endpoints_.count(msg.to) == 0;
   const bool endpoint_cut =
       disconnected_.count(msg.from) > 0 || disconnected_.count(msg.to) > 0;
@@ -100,36 +100,27 @@ bool SimNetwork::Send(Message msg, std::size_t payload_bytes) {
   // placement.
   const Micros delay = DeliveryDelay(payload_bytes);
   if (no_endpoint || endpoint_cut || link_cut || dropped) {
-    // Every fault is attributed to exactly one cause (most specific first)
-    // so experiments can assert what was lost and why.
-    ++frames_dropped_;
-    if (no_endpoint) {
-      ++dropped_no_endpoint_;
-    } else if (endpoint_cut) {
-      ++dropped_disconnected_;
-    } else if (link_cut) {
-      ++dropped_partition_;
-    } else {
-      ++dropped_random_;
-    }
+    // Every fault is attributed to exactly one cause, most specific first.
+    stats_.Drop(no_endpoint    ? &net::NetStats::dropped_no_endpoint
+                : endpoint_cut ? &net::NetStats::dropped_disconnected
+                : link_cut     ? &net::NetStats::dropped_partition
+                               : &net::NetStats::dropped_random);
     return false;
   }
   Micros chaos_delay = delay;
   bool duplicate = false;
   if (!ApplyChaos(msg, &chaos_delay, &duplicate)) {
-    ++frames_dropped_;
-    ++dropped_chaos_;
+    stats_.Drop(&net::NetStats::dropped_chaos);
     return false;
   }
   msg.sent_at = loop_->Now();
-  delivery_hist_.Record(chaos_delay);
   if (duplicate) {
     // The copy rolls its own extra delay so the pair lands out of order
     // more often than not — duplication doubles as a reordering stressor.
     Micros dup_delay = delay;
     bool dup_again = false;
     if (ApplyChaos(msg, &dup_delay, &dup_again)) {
-      ++chaos_duplicates_;
+      ++stats_.chaos_duplicates;
       ScheduleDelivery(msg, payload_bytes, dup_delay);
     }
   }
@@ -143,12 +134,10 @@ void SimNetwork::ScheduleDelivery(Message msg, std::size_t payload_bytes,
     // Re-check on delivery: the endpoint may have died in flight.
     auto it = endpoints_.find(msg.to);
     if (it == endpoints_.end() || disconnected_.count(msg.to) > 0) {
-      ++frames_dropped_;
-      ++dropped_in_flight_;
+      stats_.Drop(&net::NetStats::dropped_in_flight);
       return;
     }
-    ++frames_delivered_;
-    bytes_delivered_ += payload_bytes;
+    stats_.Deliver(msg, payload_bytes, loop_->Now());
     it->second(msg);
   });
 }
@@ -171,22 +160,6 @@ bool SimNetwork::IsDisconnected(const std::string& name) const {
 
 bool SimNetwork::HasEndpoint(const std::string& name) const {
   return endpoints_.count(name) > 0;
-}
-
-void SimNetwork::ExportStats(metrics::Registry* registry) const {
-  registry->counter("net.frames_sent")->Increment(frames_sent_);
-  registry->counter("net.frames_delivered")->Increment(frames_delivered_);
-  registry->counter("net.frames_dropped")->Increment(frames_dropped_);
-  registry->counter("net.bytes_sent")->Increment(bytes_sent_);
-  registry->counter("net.bytes_delivered")->Increment(bytes_delivered_);
-  registry->counter("net.dropped_partition")->Increment(dropped_partition_);
-  registry->counter("net.dropped_disconnected")->Increment(dropped_disconnected_);
-  registry->counter("net.dropped_no_endpoint")->Increment(dropped_no_endpoint_);
-  registry->counter("net.dropped_random")->Increment(dropped_random_);
-  registry->counter("net.dropped_in_flight")->Increment(dropped_in_flight_);
-  registry->counter("net.dropped_chaos")->Increment(dropped_chaos_);
-  registry->counter("net.chaos_duplicates")->Increment(chaos_duplicates_);
-  registry->histogram("net.delivery_delay")->MergeFrom(delivery_hist_);
 }
 
 }  // namespace hotman::sim

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "net/net_stats.h"
 #include "net/remote_client.h"
 
 namespace hotman::net {
@@ -230,10 +231,14 @@ TEST_P(LoopbackClusterTest, QuorumOpsSurviveNodeKill) {
     ASSERT_TRUE(r.ok()) << key << ": " << r.status().ToString();
   }
 
-  // Stats surface the transport metrics end to end.
+  // Stats surface every transport metric end to end.
   auto stats = c1.Stats(nodes_[0].name);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_NE(stats->find("net.frames_delivered"), std::string::npos) << *stats;
+  for (const NetCounter& c : kNetCounters) {
+    EXPECT_NE(stats->find(std::string("\"") + c.name + "\":"), std::string::npos)
+        << c.name << " missing from " << *stats;
+  }
+  EXPECT_NE(stats->find("\"net.connections_open\":"), std::string::npos) << *stats;
   EXPECT_NE(stats->find("puts_succeeded"), std::string::npos) << *stats;
 
   // Phase 3: graceful teardown. Clean exits prove shutdown ordering (node
