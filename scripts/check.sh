@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Local mirror of the CI matrix (.github/workflows/ci.yml): the same four
-# jobs, runnable one at a time or all together.
+# Local mirror of CI (.github/workflows/ci.yml): its five matrix jobs
+# (relwithdebinfo is `default` here, plus asan, ubsan, tsan, tidy), the chaos
+# smoke and coverage, runnable one at a time or all together. The nightly
+# sweep is `HOTMAN_CHAOS_SEEDS=1-200 scripts/check.sh chaos`.
 #
 #   scripts/check.sh            # default job: warnings-as-errors + tier1
 #   scripts/check.sh asan       # AddressSanitizer + UBSan suite
