@@ -181,28 +181,19 @@ void StorageNode::Stop() {
     ShardState* ss = shard.get();
     sharded_->PostSync(ss->index, [this, ss] {
       ss->executor->CancelTimer(ss->hint_timer);
+      const Status stopped = Status::Unavailable("coordinator stopped: " + id_);
       auto puts = std::move(ss->pending_puts);
       ss->pending_puts.clear();
       for (auto& [req, put] : puts) {
         ss->executor->CancelTimer(put.timeout_event);
         ss->executor->CancelTimer(put.cleanup_event);
-        if (!put.done) {
-          put.done = true;
-          ++ss->stats.puts_failed;
-          RecordPutOutcome(*ss, put, req, /*ok=*/false);
-          put.cb(Status::Unavailable("coordinator stopped: " + id_));
-        }
+        if (!put.done) ConcludePut(*ss, req, put, stopped);
       }
       auto gets = std::move(ss->pending_gets);
       ss->pending_gets.clear();
       for (auto& [req, get] : gets) {
         ss->executor->CancelTimer(get.timeout_event);
-        if (!get.done) {
-          get.done = true;
-          ++ss->stats.gets_failed;
-          RecordGetOutcome(*ss, get, req, /*ok=*/false);
-          get.cb(Status::Unavailable("coordinator stopped: " + id_));
-        }
+        if (!get.done) ConcludeGet(*ss, req, get, stopped);
       }
       ss->dirty_keys.clear();
     });
@@ -596,17 +587,21 @@ void StorageNode::StartPut(ShardState& ss, bson::Document record,
                             static_cast<std::uint64_t>(ss.index);
   PendingPut put;
   put.key = key;
-  put.primary = targets.front();
   put.record = std::move(record);
   put.cb = std::move(cb);
   put.started_at = transport_->NowMicros();
   put.needed = std::min<int>(config_.write_quorum, static_cast<int>(targets.size()));
-  put.pref_targets = targets;
-  for (const std::string& target : targets) put.responded.emplace(target, false);
+  put.preference = targets.size();
+  for (const std::string& target : targets) put.slots.push_back({target});
   put.timeout_event = ss.executor->ScheduleTimer(
       config_.put_timeout, [this, &ss, req]() { OnPutTimeout(ss, req); });
   put.cleanup_event = ss.executor->ScheduleTimer(
-      4 * config_.put_timeout, [this, &ss, req]() { OnPutCleanup(ss, req); });
+      4 * config_.put_timeout, [this, &ss, req]() {
+        auto it = ss.pending_puts.find(req);
+        if (it != ss.pending_puts.end()) {
+          AdvancePut(ss, req, it->second, /*expired=*/true);
+        }
+      });
   PendingPut& pending = ss.pending_puts.emplace(req, std::move(put)).first->second;
   MarkKeyDirty(ss, key);
 
@@ -616,24 +611,23 @@ void StorageNode::StartPut(ShardState& ss, bson::Document record,
   // doomed attempt: the write goes straight to a temporary node with a
   // hint ("another temporary node C that is detected and found by
   // heartbeat mechanism" — Fig. 8).
-  std::vector<std::string> known_dead;
-  known_dead.reserve(targets.size());
+  std::vector<std::size_t> known_dead;
   std::optional<bson::Document> copy_body;
-  for (const std::string& target : targets) {
-    if (LivenessOf(ss, target) == gossip::Liveness::kDead) {
-      known_dead.push_back(target);
+  for (std::size_t slot = 0; slot < targets.size(); ++slot) {
+    if (LivenessOf(ss, targets[slot]) == gossip::Liveness::kDead) {
+      known_dead.push_back(slot);
       continue;
     }
-    SendPutReplica(req, pending, target, &copy_body);
+    SendPutReplica(req, pending, targets[slot], &copy_body);
   }
   if (!known_dead.empty()) {
-    for (const std::string& target : known_dead) {
-      pending.responded[target] = true;
-      TryHandoff(ss, req, &pending, target);
+    for (std::size_t slot : known_dead) {
+      pending.slots[slot].answered = true;
+      TryHandoff(ss, req, pending, slot);
     }
     // With handoff disabled every known-dead target counts as answered, so
     // an unreachable quorum can already be decided here (fast fail).
-    MaybeFinishPut(ss, req, &pending);
+    AdvancePut(ss, req, pending, /*expired=*/false);
   }
 }
 
@@ -642,7 +636,7 @@ void StorageNode::SendPutReplica(std::uint64_t req, const PendingPut& put,
                                  std::optional<bson::Document>* copy_body) {
   PutReplicaMsg msg;
   msg.req = req;
-  if (target == put.primary) {
+  if (target == put.slots.front().node) {
     // The primary stores the original (isData=1); a copy there would
     // silently demote the record.
     msg.record = put.record;
@@ -664,82 +658,74 @@ void StorageNode::HandlePutAck(ShardState& ss, const std::string& from,
   auto it = ss.pending_puts.find(ack.req);
   if (it == ss.pending_puts.end()) return;  // late or fire-and-forget ack
   PendingPut& put = it->second;
-  auto responded_it = put.responded.find(from);
-  if (responded_it != put.responded.end()) {
-    if (responded_it->second) return;  // duplicate
-    responded_it->second = true;
-  }
+  // One answer per slot. A duplicate is dropped, and so is an ack from a
+  // node the put never wrote to: the sender names itself on the wire, so
+  // only the put's own slots may count toward W or start a handoff.
+  const std::size_t slot = put.SlotOf(from);
+  if (slot == put.slots.size() || put.slots[slot].answered) return;
+  put.slots[slot].answered = true;
   if (ack.ok) {
     // Latency attribution only from successful replies: a nack's
     // queue/service numbers describe a replica that did *not* serve the
     // write, and tracing them would blame the wrong node.
+    put.slots[slot].ok = true;
     put.last_queue = ack.queue_micros;
     put.last_service = ack.service_micros;
     put.last_replica = from;
-    if (from == put.primary) put.primary_ok = true;
-    if (std::find(put.pref_targets.begin(), put.pref_targets.end(), from) !=
-        put.pref_targets.end()) {
-      put.ok_acks.insert(from);
-    }
-    ++put.acks;
   } else {
     // Abnormal event: "the system must find other storage node, and try to
     // write several times to guarantee the success of writing."
-    TryHandoff(ss, ack.req, &put, from);
+    TryHandoff(ss, ack.req, put, slot);
   }
-  MaybeFinishPut(ss, ack.req, &put);
+  AdvancePut(ss, ack.req, put, /*expired=*/false);
 }
 
-void StorageNode::TryHandoff(ShardState& ss, std::uint64_t req, PendingPut* put,
-                             const std::string& failed) {
+void StorageNode::TryHandoff(ShardState& ss, std::uint64_t req, PendingPut& put,
+                             std::size_t failed) {
   if (!config_.hinted_handoff) return;
   const std::size_t want =
-      config_.replication_factor + kHandoffCandidateSlack + put->responded.size();
-  std::vector<std::string> candidates = RingOf(ss).PreferenceList(put->key, want);
-  for (const std::string& candidate : candidates) {
-    if (!put->responded.emplace(candidate, false).second) continue;
+      config_.replication_factor + kHandoffCandidateSlack + put.slots.size();
+  for (const std::string& candidate : RingOf(ss).PreferenceList(put.key, want)) {
+    if (put.SlotOf(candidate) != put.slots.size()) continue;
     HintStoreMsg msg;
     msg.req = req;
-    msg.target = failed;
-    msg.record = core::AsReplicaCopy(put->record);
+    msg.target = put.slots[failed].node;
+    msg.record = core::AsReplicaCopy(put.record);
+    put.slots.push_back({candidate});
     SendToNode(candidate, kMsgHintStore, EncodeHintStore(msg));
     return;
   }
 }
 
-void StorageNode::MaybeFinishPut(ShardState& ss, std::uint64_t req,
-                                 PendingPut* put) {
+void StorageNode::AdvancePut(ShardState& ss, std::uint64_t req, PendingPut& put,
+                             bool expired) {
+  int acks = 0;
+  bool all_answered = true;
+  bool settled_all_n = true;  // every preference holder acked
+  for (std::size_t slot = 0; slot < put.slots.size(); ++slot) {
+    acks += put.slots[slot].ok ? 1 : 0;
+    all_answered = all_answered && put.slots[slot].answered;
+    if (slot < put.preference) settled_all_n = settled_all_n && put.slots[slot].ok;
+  }
   // With fast reads in strict mode the write is primary-anchored: W acks
-  // alone are not enough, the primary must be among them. That keeps the
-  // single-replica read set {primary} inside every completed write set.
-  if (!put->done && put->acks >= put->needed &&
-      (!RequirePrimaryAck() || put->primary_ok)) {
-    put->done = true;
-    ++ss.stats.puts_succeeded;
-    RecordPutOutcome(ss, *put, req, /*ok=*/true);
-    put->cb(Status::OK());
+  // alone are not enough, slot 0 (the primary) must be among them. That
+  // keeps the single-replica read set {primary} inside every completed
+  // write set.
+  if (!put.done && acks >= put.needed &&
+      (!RequirePrimaryAck() || put.slots.front().ok)) {
+    ConcludePut(ss, req, put, Status::OK());
   }
-  bool all_responded = true;
-  for (const auto& [target, answered] : put->responded) {
-    if (!answered) {
-      all_responded = false;
-      break;
-    }
+  if (!all_answered && !expired) return;
+  // Everyone answered (handoff substitutes included), or the cleanup timer
+  // fired. If the quorum is still short, no outstanding ack can close the
+  // gap: fail now instead of parking the client.
+  if (!put.done) {
+    ConcludePut(ss, req, put,
+                Status::QuorumFailed("write quorum not reached for key " + put.key));
   }
-  if (!all_responded) return;
-  // Everyone answered (handoff substitutes included). If the quorum is
-  // still short, no outstanding ack can ever close the gap — fail fast
-  // instead of parking the client until the 4x cleanup timer.
-  if (!put->done) {
-    put->done = true;
-    ++ss.stats.puts_failed;
-    RecordPutOutcome(ss, *put, req, /*ok=*/false);
-    put->cb(Status::QuorumFailed("write quorum not reached for key " + put->key));
-  }
-  ss.executor->CancelTimer(put->timeout_event);
-  ss.executor->CancelTimer(put->cleanup_event);
-  RetireDirtyKey(ss, put->key,
-                 /*settled_all_n=*/put->ok_acks.size() == put->pref_targets.size());
+  ss.executor->CancelTimer(put.timeout_event);
+  ss.executor->CancelTimer(put.cleanup_event);
+  RetireDirtyKey(ss, put.key, settled_all_n);
   ss.pending_puts.erase(req);
 }
 
@@ -747,18 +733,24 @@ void StorageNode::OnPutTimeout(ShardState& ss, std::uint64_t req) {
   auto it = ss.pending_puts.find(req);
   if (it == ss.pending_puts.end()) return;
   PendingPut& put = it->second;
-  std::vector<std::string> silent;
-  for (const auto& [target, answered] : put.responded) {
-    if (!answered) silent.push_back(target);
+  // The silent slots in name order: resends and handoffs go out in that
+  // order, and the history hashes pinned by tests/chaos_golden_test.cc
+  // depend on it.
+  std::vector<std::size_t> silent;
+  for (std::size_t slot = 0; slot < put.slots.size(); ++slot) {
+    if (!put.slots[slot].answered) silent.push_back(slot);
   }
+  std::sort(silent.begin(), silent.end(), [&put](std::size_t a, std::size_t b) {
+    return put.slots[a].node < put.slots[b].node;
+  });
   ++put.timeout_wave;
   if (put.timeout_wave == 1) {
     // First wave: "try to write several times to guarantee the success of
     // writing" — resend to the silent replicas (the outage may have been a
     // dropped message or a short failure that already healed)...
     std::optional<bson::Document> copy_body;
-    for (const std::string& target : silent) {
-      SendPutReplica(req, put, target, &copy_body);
+    for (std::size_t slot : silent) {
+      SendPutReplica(req, put, put.slots[slot].node, &copy_body);
     }
     put.timeout_event = ss.executor->ScheduleTimer(
         config_.put_timeout / 2, [this, &ss, req]() { OnPutTimeout(ss, req); });
@@ -768,36 +760,20 @@ void StorageNode::OnPutTimeout(ShardState& ss, std::uint64_t req) {
   // temporary node — even when the quorum already succeeded, so the
   // intended replica's data survives the outage (Fig. 8). A further wave
   // covers substitutes that were themselves unreachable.
-  for (const std::string& target : silent) {
-    put.responded[target] = true;
-    TryHandoff(ss, req, &put, target);
+  for (std::size_t slot : silent) {
+    put.slots[slot].answered = true;
+    TryHandoff(ss, req, put, slot);
   }
   // Giving up on the silent replicas may have settled the outcome (all
-  // responded, quorum unreachable): decide now rather than waiting for the
-  // cleanup timer. MaybeFinishPut can erase the entry, so re-find it.
-  MaybeFinishPut(ss, req, &put);
+  // answered, quorum unreachable): decide now rather than waiting for the
+  // cleanup timer. AdvancePut can erase the entry, so re-find it.
+  AdvancePut(ss, req, put, /*expired=*/false);
   auto still = ss.pending_puts.find(req);
   if (still != ss.pending_puts.end() && still->second.timeout_wave < 4 &&
       !still->second.done) {
     still->second.timeout_event = ss.executor->ScheduleTimer(
         config_.put_timeout / 2, [this, &ss, req]() { OnPutTimeout(ss, req); });
   }
-}
-
-void StorageNode::OnPutCleanup(ShardState& ss, std::uint64_t req) {
-  auto it = ss.pending_puts.find(req);
-  if (it == ss.pending_puts.end()) return;
-  PendingPut& put = it->second;
-  if (!put.done) {
-    put.done = true;
-    ++ss.stats.puts_failed;
-    RecordPutOutcome(ss, put, req, /*ok=*/false);
-    put.cb(Status::QuorumFailed("write quorum not reached for key " + put.key));
-  }
-  ss.executor->CancelTimer(put.timeout_event);
-  RetireDirtyKey(ss, put.key,
-                 /*settled_all_n=*/put.ok_acks.size() == put.pref_targets.size());
-  ss.pending_puts.erase(it);
 }
 
 // --- coordinator: Get -------------------------------------------------------
@@ -972,24 +948,19 @@ void StorageNode::AdvanceRead(ShardState& ss, std::uint64_t req,
         return;
       }
       case ReadVerdict::kServe:
-        get.done = true;
-        ++ss.stats.gets_succeeded;
         if (plan.demotes()) ++ss.stats.fast_read_hits;
         if (plan.verified()) ++ss.stats.hot_read_hits;
-        RecordGetOutcome(ss, get, req, /*ok=*/true);
-        get.cb(*decision.winner);
+        ConcludeGet(ss, req, get, *decision.winner);
         break;
       case ReadVerdict::kMiss:
       case ReadVerdict::kUnavailable:
       case ReadVerdict::kTimeout:
-        get.done = true;
-        ++ss.stats.gets_failed;
-        RecordGetOutcome(ss, get, req, /*ok=*/false);
-        get.cb(decision.verdict == ReadVerdict::kMiss
-                   ? Status::NotFound("no replica has key " + get.key)
-               : decision.verdict == ReadVerdict::kUnavailable
-                   ? Status::Unavailable("read quorum unreachable for " + get.key)
-                   : Status::Timeout("read quorum not reached for key " + get.key));
+        ConcludeGet(ss, req, get,
+                    decision.verdict == ReadVerdict::kMiss
+                        ? Status::NotFound("no replica has key " + get.key)
+                    : decision.verdict == ReadVerdict::kUnavailable
+                        ? Status::Unavailable("read quorum unreachable for " + get.key)
+                        : Status::Timeout("read quorum not reached for key " + get.key));
         break;
     }
   }
@@ -1099,49 +1070,47 @@ std::size_t StorageNode::DirtyKeyCount() const {
 
 // --- observability ----------------------------------------------------------
 
-void StorageNode::RecordPutOutcome(ShardState& ss, const PendingPut& put,
-                                   std::uint64_t req, bool ok) {
-  const Micros total = transport_->NowMicros() - put.started_at;
-  ss.put_latency_hist.Record(total);
-  metrics::TraceRecord trace;
-  trace.req = req;
-  trace.op = metrics::TraceOp::kPut;
-  trace.key = put.key;
-  trace.coordinator = id_;
-  trace.replica = put.last_replica;
-  trace.started_at = put.started_at;
-  trace.finished_at = transport_->NowMicros();
-  trace.queue_micros = put.last_queue;
-  trace.service_micros = put.last_service;
-  trace.network_micros =
-      std::max<Micros>(0, total - put.last_queue - put.last_service);
-  trace.ok = ok;
-  ss.traces.Add(std::move(trace));
+void StorageNode::ConcludePut(ShardState& ss, std::uint64_t req, PendingPut& put,
+                              const Status& status) {
+  put.done = true;
+  ++(status.ok() ? ss.stats.puts_succeeded : ss.stats.puts_failed);
+  ss.put_latency_hist.Record(
+      RecordOutcome(ss, put, metrics::TraceOp::kPut, req, status.ok()));
+  put.cb(status);
 }
 
-void StorageNode::RecordGetOutcome(ShardState& ss, const PendingGet& get,
-                                   std::uint64_t req, bool ok) {
-  const Micros total = transport_->NowMicros() - get.started_at;
+void StorageNode::ConcludeGet(ShardState& ss, std::uint64_t req, PendingGet& get,
+                              const Result<bson::Document>& result) {
+  get.done = true;
+  ++(result.ok() ? ss.stats.gets_succeeded : ss.stats.gets_failed);
+  const Micros total = RecordOutcome(ss, get, metrics::TraceOp::kGet, req, result.ok());
   ss.get_latency_hist.Record(total);
   // Demoted reads record on the quorum histogram under their *original*
   // start time: the fast detour they took is part of the latency the
   // caller observed, not a separate measurement.
   (get.plan.demotes() ? ss.fast_get_latency_hist : ss.quorum_get_latency_hist)
       .Record(total);
+  get.cb(result);
+}
+
+Micros StorageNode::RecordOutcome(ShardState& ss, const PendingOp& op,
+                                  metrics::TraceOp kind, std::uint64_t req, bool ok) {
+  const Micros now = transport_->NowMicros();
+  const Micros total = now - op.started_at;
   metrics::TraceRecord trace;
   trace.req = req;
-  trace.op = metrics::TraceOp::kGet;
-  trace.key = get.key;
+  trace.op = kind;
+  trace.key = op.key;
   trace.coordinator = id_;
-  trace.replica = get.last_replica;
-  trace.started_at = get.started_at;
-  trace.finished_at = transport_->NowMicros();
-  trace.queue_micros = get.last_queue;
-  trace.service_micros = get.last_service;
-  trace.network_micros =
-      std::max<Micros>(0, total - get.last_queue - get.last_service);
+  trace.replica = op.last_replica;
+  trace.started_at = op.started_at;
+  trace.finished_at = now;
+  trace.queue_micros = op.last_queue;
+  trace.service_micros = op.last_service;
+  trace.network_micros = std::max<Micros>(0, total - op.last_queue - op.last_service);
   trace.ok = ok;
   ss.traces.Add(std::move(trace));
+  return total;
 }
 
 NodeStats StorageNode::stats() const {
