@@ -7,7 +7,7 @@
 #   scripts/check.sh            # default job: warnings-as-errors + tier1
 #   scripts/check.sh asan       # AddressSanitizer + UBSan suite
 #   scripts/check.sh ubsan      # UndefinedBehaviorSanitizer alone
-#   scripts/check.sh tsan       # ThreadSanitizer suite
+#   scripts/check.sh tsan       # ThreadSanitizer suite (every gtest binary)
 #   scripts/check.sh tidy       # repo lint + analyzer + clang-tidy
 #   scripts/check.sh chaos      # seeded chaos sweep, all profiles
 #   scripts/check.sh coverage   # line coverage (scripts/coverage.sh)
