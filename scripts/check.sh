@@ -8,7 +8,7 @@
 #   scripts/check.sh asan       # AddressSanitizer + UBSan suite
 #   scripts/check.sh ubsan      # UndefinedBehaviorSanitizer alone
 #   scripts/check.sh tsan       # ThreadSanitizer suite (every gtest binary)
-#   scripts/check.sh tidy       # repo lint + analyzer + clang-tidy
+#   scripts/check.sh tidy       # static analysis + clang-tidy
 #   scripts/check.sh chaos      # seeded chaos sweep, all profiles
 #   scripts/check.sh coverage   # line coverage (scripts/coverage.sh)
 #   scripts/check.sh all        # everything, sequentially
@@ -62,10 +62,7 @@ job_chaos() {
 job_coverage() { scripts/coverage.sh; }
 
 job_tidy() {
-  echo "==> [tidy] repo lint"
-  python3 tools/lint_hotman.py
-  python3 tools/lint_hotman_test.py
-  echo "==> [tidy] whole-program analysis (tools/analyze)"
+  echo "==> [tidy] static analysis (tools/analyze)"
   python3 tools/analyze/hotman_analyze.py --json ANALYZE_findings.json
   python3 tools/analyze/hotman_analyze_test.py
   echo "==> [tidy] clang-tidy (baseline-aware; skips if not installed)"

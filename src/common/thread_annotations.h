@@ -15,7 +15,7 @@
 ///    annotate every mutex-protected class with these macros;
 ///  - sim/, cluster/ and gossip/ are deterministic single-threaded
 ///    event-loop code and must not use mutexes or threads at all
-///    (enforced by tools/lint_hotman.py).
+///    (enforced by tools/analyze/hotman_analyze.py).
 
 #if defined(__clang__) && (!defined(SWIG))
 #define HOTMAN_THREAD_ANNOTATION_ATTRIBUTE(x) __attribute__((x))
