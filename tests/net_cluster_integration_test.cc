@@ -20,6 +20,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -69,7 +70,16 @@ class LoopbackClusterTest : public ::testing::TestWithParam<int> {
     bin_ = bin;
     for (int i = 0; i < 3; ++i) {
       Node node;
-      node.port = PickPort();
+      // A released port can come straight back from the next PickPort; two
+      // daemons given one port leave one dead and the other silently
+      // dropping the frames addressed to it.
+      do {
+        node.port = PickPort();
+      } while (node.port != 0 &&
+               std::any_of(nodes_.begin(), nodes_.end(), [&](const Node& n) {
+                 return n.port == node.port;
+               }));
+      ASSERT_NE(node.port, 0) << "could not reserve a loopback port";
       node.name = "n" + std::to_string(i + 1) + ":" +
                   std::to_string(node.port);
       nodes_.push_back(node);
