@@ -76,11 +76,9 @@ struct ClusterConfig {
   Micros fast_read_quiescence = 3 * kMicrosPerSecond;
 
   // --- hot-spot taming under skew (AutoShard-style heat tracking) ---
-  /// Track per-key operation heat in a shard-local space-saving sketch
-  /// (cluster/heat_tracker.h), merged across shards into /stats `heat.*`.
-  /// Cheap (bounded counters, no allocation on the steady path), so on by
-  /// default.
-  bool heat_tracking = true;
+  /// Every coordinated op records its key in a shard-local space-saving
+  /// sketch (cluster/heat_tracker.h), merged across shards into /stats
+  /// `heat.*`; cheap (bounded counters, no allocation on the steady path).
   /// Sketch shape and hot thresholds (capacity, decay half-life, qps bar).
   HeatConfig heat;
   /// Act on heat in the read path: reads of *hot, clean* keys rotate their
@@ -92,8 +90,7 @@ struct ClusterConfig {
   /// therefore always the primary's version, so the PR 6 intersection
   /// argument is untouched; the payload service load spreads across N
   /// nodes while the primary only answers tiny metadata probes. Requires
-  /// fast_reads (the hot path is a refinement of the clean-key fast path)
-  /// and heat_tracking.
+  /// fast_reads (the hot path is a refinement of the clean-key fast path).
   bool hot_reads = false;
 
   // --- chaos negative controls (test-only; see src/chaos/) ---

@@ -576,7 +576,7 @@ void StorageNode::StartPut(ShardState& ss, bson::Document record,
   // client operation may trip one failure at a random node.
   if (injector_ != nullptr) injector_->MaybeInjectAnywhere();
   const std::string key = core::RecordSelfKey(record);
-  if (config_.heat_tracking) ss.heat.Record(key, transport_->NowMicros());
+  ss.heat.Record(key, transport_->NowMicros());
   std::vector<std::string> targets = PreferenceNodes(ss, key);
   if (targets.empty()) {
     ++ss.stats.puts_failed;
@@ -785,7 +785,7 @@ void StorageNode::CoordinateGet(const std::string& key, GetCallback cb) {
     ++ss.stats.gets_coordinated;
     if (injector_ != nullptr) injector_->MaybeInjectAnywhere();
     const Micros started_at = transport_->NowMicros();
-    if (config_.heat_tracking) ss.heat.Record(key, started_at);
+    ss.heat.Record(key, started_at);
     std::vector<std::string> targets = PreferenceNodes(ss, key);
     if (config_.fast_reads) {
       // Harmonia-style fast path: a key with no write in flight (and nothing
@@ -805,8 +805,8 @@ void StorageNode::CoordinateGet(const std::string& key, GetCallback cb) {
         // always charging the primary. Ticket 0 (and any turn landing on
         // the primary or a suspect replica) is a plain primary fast
         // read, so the rotation degrades gracefully to the fast path.
-        if (config_.hot_reads && config_.heat_tracking &&
-            targets.size() >= 2 && ss.heat.IsHot(key, started_at)) {
+        if (config_.hot_reads && targets.size() >= 2 &&
+            ss.heat.IsHot(key, started_at)) {
           const std::uint64_t ticket = ss.heat.NextRotation(key);
           const std::size_t pick = ticket % targets.size();
           if (pick != 0 &&
