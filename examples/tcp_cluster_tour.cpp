@@ -1,9 +1,10 @@
 // TCP cluster tour: the failover story of failover_tour.cpp, but over real
 // sockets instead of the simulator. Three storage nodes run in-process,
-// each on its own net::TcpTransport (own epoll loop thread, own loopback
-// port); a net::RemoteClient talks to them exactly the way hotman_ctl talks
-// to a hotmand daemon. One node is then stopped to show the sloppy quorum
-// absorbing the loss.
+// each on its own net::TcpTransport (own loop thread, own loopback port)
+// and on the threaded shard runtime hotmand uses, started and stopped in
+// hotmand's order; a net::RemoteClient talks to them exactly the way
+// hotman_ctl talks to a hotmand daemon. One node is then stopped to show
+// the sloppy quorum absorbing the loss.
 
 #include <cstdio>
 #include <future>
@@ -17,6 +18,7 @@
 #include "cluster/storage_node.h"
 #include "common/bytes.h"
 #include "net/remote_client.h"
+#include "net/sharded_executor.h"
 #include "net/tcp_transport.h"
 
 using namespace hotman;  // NOLINT: example brevity
@@ -29,6 +31,7 @@ struct TourNode {
   std::string name;
   std::uint16_t port = 0;
   std::unique_ptr<net::TcpTransport> transport;
+  std::unique_ptr<net::ShardedExecutor> sharded;
   std::unique_ptr<cluster::StorageNode> node;
   std::unique_ptr<cluster::NodeServer> server;
 };
@@ -65,9 +68,11 @@ void PrintNodes(std::vector<TourNode>& nodes, const char* label) {
 
 void StopNode(TourNode* tn) {
   OnLoop(tn, [&] { tn->node->Stop(); });
+  tn->sharded->Shutdown();
   tn->transport->Stop();
   tn->node.reset();
   tn->server.reset();
+  tn->sharded.reset();
   tn->transport.reset();
 }
 
@@ -79,7 +84,6 @@ int main() {
   config.replication_factor = 3;
   config.write_quorum = 2;
   config.read_quorum = 1;
-  config.simulate_service_time = false;  // real CPU work, real clocks
   config.gossip.interval = 200 * kMicrosPerMilli;
 
   std::vector<TourNode> nodes(3);
@@ -106,17 +110,25 @@ int main() {
       tconfig.peers[nodes[j].name] = net::TcpPeer{"127.0.0.1", nodes[j].port};
     }
     nodes[i].transport = std::make_unique<net::TcpTransport>(tconfig);
-    nodes[i].node = std::make_unique<cluster::StorageNode>(
-        config.nodes[i], config, nodes[i].transport.get(),
-        /*injector=*/nullptr, /*seed=*/2026 + i);
-    nodes[i].server = std::make_unique<cluster::NodeServer>(
-        nodes[i].node.get(), nodes[i].transport.get());
-    nodes[i].server->Start();
     if (Status s = nodes[i].transport->Start(); !s.ok()) {
       std::printf("transport start failed (port %u in use?): %s\n",
                   nodes[i].port, s.ToString().c_str());
       return 1;
     }
+    net::ShardedExecutorConfig sconfig;
+    sconfig.shards = config.shards;
+    nodes[i].sharded = std::make_unique<net::ShardedExecutor>(
+        nodes[i].transport.get(), sconfig);
+    if (Status s = nodes[i].sharded->Launch(); !s.ok()) {
+      std::printf("shard runtime start failed: %s\n", s.ToString().c_str());
+      return 1;
+    }
+    nodes[i].node = std::make_unique<cluster::StorageNode>(
+        config.nodes[i], config, nodes[i].transport.get(),
+        /*injector=*/nullptr, /*seed=*/2026 + i, nodes[i].sharded.get());
+    nodes[i].server = std::make_unique<cluster::NodeServer>(
+        nodes[i].node.get(), nodes[i].transport.get());
+    nodes[i].server->Start();
     OnLoop(&nodes[i], [&] { nodes[i].node->Start(); });
   }
   std::printf("== three nodes serving on loopback ports %u-%u ==\n",

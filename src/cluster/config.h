@@ -121,11 +121,9 @@ struct ClusterConfig {
   gossip::GossipConfig gossip;
   gossip::FailureDetector::Config detector;
   sim::NetworkConfig network;
+  /// Replica-side queueing/service time, modeled by a ServiceStation on the
+  /// deterministic runtime only; a threaded runtime spends real CPU time.
   sim::ServiceConfig service;
-  /// Model replica-side queueing/service time with a ServiceStation. On by
-  /// default for simulation fidelity; the real daemon disables it (actual
-  /// CPU time is spent instead of modeled).
-  bool simulate_service_time = true;
 
   /// Validates quorum arithmetic and membership (W <= N, R <= N, at least
   /// one node, N >= 1, at least one seed when >1 node).

@@ -63,7 +63,7 @@ StorageNode::StorageNode(const NodeSpec& spec, const ClusterConfig& config,
   }
   server_ = std::make_unique<docstore::DocStoreServer>(
       id_, hashring::KetamaHash(id_), transport_->clock());
-  if (config_.simulate_service_time && !sharded_->threaded()) {
+  if (!sharded_->threaded()) {
     // The ServiceStation is a node-level queueing model of the simulator;
     // a threaded (real) runtime measures genuine service time instead.
     station_ = std::make_unique<sim::ServiceStation>(transport_, config_.service);

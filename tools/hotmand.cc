@@ -150,8 +150,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Static membership from --peer; real work, not modeled work.
-  config.simulate_service_time = false;
+  // Static membership from --peer.
   cluster::NodeSpec self_spec;
   bool self_listed = false;
   for (const auto& [name, hp] : peers) {
