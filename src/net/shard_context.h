@@ -20,8 +20,8 @@ struct ShardContext {
   /// thread is outside any shard (setup threads, benchmark drivers).
   static int Current();
 
-  /// The executor whose loop the calling thread runs: a shard reactor, or
-  /// the TcpTransport loop a ShardedExecutor tagged as its shard 0. Null on
+  /// The net::Reactor whose loop the calling thread runs: a shard's, or a
+  /// TcpTransport's (shard 0 once a ShardedExecutor adopts it). Null on
   /// every other thread, and in the deterministic runtime (its shards share
   /// one base executor). TcpTransport::Send delivers a loopback frame on
   /// this executor, so the frame never leaves the sending shard.

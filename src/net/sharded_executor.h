@@ -12,7 +12,6 @@
 #include "common/status.h"
 #include "net/executor.h"
 #include "net/shard_context.h"
-#include "net/spsc_queue.h"
 
 namespace hotman::sim {
 class ShardScheduler;
@@ -20,14 +19,15 @@ class ShardScheduler;
 
 namespace hotman::net {
 
+class Reactor;
 class TcpTransport;
-class ShardReactor;
 
 /// Shard-per-core runtime configuration.
 struct ShardedExecutorConfig {
   int shards = 1;
-  /// Threaded mode runs one reactor thread per shard (each with its own
-  /// epoll fd, eventfd and timer queue — the real daemon and benches).
+  /// Threaded mode runs each shard on its own net::Reactor (one thread
+  /// with its own epoll fd, eventfd and timer map — the real daemon and
+  /// benches).
   /// Non-threaded mode multiplexes every shard onto the base executor with
   /// deterministic zero-delay hops (the simulator and chaos sweeps).
   bool threaded = false;
@@ -40,10 +40,10 @@ struct ShardedExecutorConfig {
 
 /// N reactors behind one node: a deterministic key→shard mapping derived
 /// from ring position, one executor per shard, and cross-shard message
-/// passing over lock-free SPSC mailboxes drained on each reactor tick.
+/// passing through each reactor's mailbox, drained on its tick.
 ///
 /// Shard 0 is the node's "system shard": when a TcpTransport is attached
-/// its event loop *is* shard 0 (gossip, membership and the wire protocol
+/// its Reactor *is* shard 0 (gossip, membership and the wire protocol
 /// stay loop-resident and unchanged), and reactors 1..N-1 carry the
 /// keyed coordinator/replica work. Without an attached transport every
 /// shard gets its own reactor (standalone benches and tests). In
@@ -55,9 +55,8 @@ class ShardedExecutor {
   /// standalone threaded reactor pool when `config.threaded` is set.
   ShardedExecutor(Executor* base, ShardedExecutorConfig config);
 
-  /// Threaded runtime whose shard 0 is `transport`'s event loop; reactors
-  /// are created for shards 1..N-1 and the transport's per-tick drain hook
-  /// empties shard 0's mailboxes.
+  /// Threaded runtime whose shard 0 is `transport`'s Reactor; reactors are
+  /// created for shards 1..N-1.
   ShardedExecutor(TcpTransport* transport, ShardedExecutorConfig config);
 
   ~ShardedExecutor();
@@ -76,9 +75,10 @@ class ShardedExecutor {
   /// dropped and counted, and so is any Post that races or follows the
   /// shutdown (run-or-count, never silently lost and never run inline on a
   /// foreign thread). Terminal: the executor cannot be relaunched, and the
-  /// halted reactors and mailboxes stay allocated until destruction so
-  /// racing producers never touch freed state. The attached transport is
-  /// left running (its owner stops it).
+  /// halted reactors stay allocated until destruction so racing producers
+  /// never touch freed state. The attached transport's loop is left
+  /// running (its owner stops it, and counts what that drops in
+  /// net.posts_dropped_stopped).
   void Shutdown();
 
   int num_shards() const { return config_.shards; }
@@ -92,14 +92,16 @@ class ShardedExecutor {
   static int ShardForPoint(std::uint32_t point, int shards);
 
   /// The executor shard `shard`'s callbacks and timers must run on. In
-  /// non-threaded mode every shard maps to the base executor.
+  /// non-threaded mode every shard maps to the base executor; in transport
+  /// mode shard 0's is the transport's Reactor.
   Executor* executor(int shard);
 
   /// Runs `fn` in shard `shard`'s context. Same-shard calls run inline;
   /// cross-shard calls travel through the caller's SPSC lane (threaded) or
   /// become a deterministic zero-delay event (non-threaded). Lock-free on
   /// the hot path: a registered producer only falls back to the mutexed
-  /// overflow lane when its ring is full.
+  /// overflow lane when its ring is full. The transport's Reactor has no
+  /// SPSC lanes, so a post to shard 0 in transport mode takes that lock.
   void Post(int shard, std::function<void()> fn);
 
   /// Runs `fn` on `shard` and waits for it (setup, stats merges, teardown
@@ -119,13 +121,8 @@ class ShardedExecutor {
   void ExportStats(metrics::Registry* registry) const;
 
  private:
-  friend class ShardReactor;
-  struct Mailboxes;
-
   /// Returns false only when a racing Stop() dropped the closure.
   bool PostThreaded(int shard, std::function<void()> fn);
-  /// Drains shard 0's mailboxes on the attached transport's loop tick.
-  void DrainShardZero();
 
   /// kIdle: before Launch() — single-threaded setup, posts run inline.
   /// kRunning: reactors live; cross-shard posts travel through mailboxes.
@@ -134,17 +131,20 @@ class ShardedExecutor {
   enum class State { kIdle, kRunning, kStopped };
 
   ShardedExecutorConfig config_;
-  Executor* base_ = nullptr;          ///< non-threaded base (or transport)
+  Executor* base_ = nullptr;          ///< non-threaded base
   TcpTransport* transport_ = nullptr; ///< threaded mode's shard 0, if any
   std::atomic<State> state_{State::kIdle};
 
   std::unique_ptr<sim::ShardScheduler> sim_scheduler_;  ///< non-threaded
-  std::vector<std::unique_ptr<ShardReactor>> reactors_; ///< threaded
-  std::unique_ptr<Mailboxes> shard0_mail_;  ///< threaded + transport mode
+  /// Threaded: the reactors this executor launched (every shard, or 1..N-1
+  /// in transport mode), halted by Shutdown() and freed on destruction.
+  std::vector<std::unique_ptr<Reactor>> owned_;
+  /// Threaded: each shard's reactor, by shard index.
+  std::vector<Reactor*> reactors_;
 
   std::atomic<int> next_external_lane_{0};
   std::atomic<std::uint64_t> cross_posts_{0};
-  std::atomic<std::uint64_t> mailbox_overflows_{0};
+  /// Posts refused at kStopped; the reactors count their own drops.
   std::atomic<std::uint64_t> posts_dropped_stopped_{0};
 };
 

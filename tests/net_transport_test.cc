@@ -346,6 +346,27 @@ TEST(TcpTransportTest, StopIsIdempotentAndSendsAfterStopAreSafe) {
   EXPECT_GE(CounterValue(transport, "net.frames_dropped"), 1u);
 }
 
+// Stop() is terminal: the loop is halted for good, so a restart is refused
+// and a timer armed afterwards is counted as dropped instead of vanishing
+// into a timer map that no loop will ever run.
+TEST(TcpTransportTest, StoppedTransportNeitherRestartsNorArmsTimers) {
+  TcpTransportConfig config;
+  config.listen_port = 0;
+  TcpTransport transport(config);
+  ASSERT_TRUE(transport.Start().ok());
+  transport.Stop();
+  EXPECT_FALSE(transport.Start().ok());
+
+  const std::uint64_t dropped_before =
+      CounterValue(transport, "net.posts_dropped_stopped");
+  std::atomic<bool> fired{false};
+  transport.ScheduleTimer(0, [&fired] { fired.store(true); });
+  EXPECT_EQ(CounterValue(transport, "net.posts_dropped_stopped"),
+            dropped_before + 1);
+  std::this_thread::sleep_for(20ms);
+  EXPECT_FALSE(fired.load());
+}
+
 // Conservation law for Post() racing Stop(): every closure either runs or
 // is counted in net.posts_dropped_stopped — none vanish, and none run
 // concurrently with the dying loop. Regression test for the documented
