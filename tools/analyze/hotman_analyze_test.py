@@ -60,6 +60,13 @@ class StripSourceTest(unittest.TestCase):
             self.assertNotIn(gone, code)
         self.assertIn("int x = 1;", code)
         self.assertEqual(directives, [(1, '#include "a/b.h"')])
+        # A digit separator belongs to its number; it opens no char literal.
+        code, _ = cpp_model.strip_source(
+            "int x = 1'000;\nvoid F() { std::thread t; }\nchar c = 'a';\n"
+            "auto w = u8'x';\n")
+        self.assertIn("std::thread", code.splitlines()[1])
+        for gone in ("'a'", "'x'"):
+            self.assertNotIn(gone, code)
 
     def test_continuation_directive_folded(self):
         text = "#define M(x) \\\n  do_thing(x)\nint y;\n"
