@@ -405,29 +405,10 @@ void StorageNode::HandlePutReplica(ShardState& ss, const std::string& from,
                  Micros queued, Micros serviced) mutable {
         RunOnShard(ss.index, [this, &ss, req, from, record = std::move(record),
                               queued, serviced] {
-          PutAckMsg ack;
+          PutAckMsg ack = ApplyReplica(ss, record);
           ack.req = req;
           ack.queue_micros = queued;
           ack.service_micros = serviced;
-          Status available = server_->CheckAvailable();
-          if (!available.ok()) {
-            ack.ok = false;
-            ack.error = available.ToString();
-          } else if (config_.chaos_lying_replica == id_) {
-            // Negative-control harness: acknowledge without applying, so the
-            // coordinator's quorum count overstates durability. The offline
-            // checker must catch the resulting lost updates / stale reads.
-            ack.ok = true;
-          } else {
-            auto applied = ss.store->Apply(record);
-            if (applied.ok()) {
-              ack.ok = true;
-              ++ss.stats.replica_puts_applied;
-            } else {
-              ack.ok = false;
-              ack.error = applied.status().ToString();
-            }
-          }
           if (req != 0) SendToNode(from, kMsgPutAck, EncodePutAck(ack));
         });
       });
@@ -449,26 +430,8 @@ void StorageNode::HandleGetReplica(ShardState& ss, const std::string& from,
     // cheap metadata probes while payload service rotates across the
     // other holders). A production engine would back this with an
     // in-memory version index; the docstore lookup plays that role here.
-    GetAckMsg ack;
+    GetAckMsg ack = ReadReplica(ss, msg.key, /*digest_only=*/true);
     ack.req = msg.req;
-    ack.digest = true;
-    Status available = server_->CheckAvailable();
-    if (!available.ok()) {
-      ack.ok = false;
-      ack.error = available.ToString();
-    } else {
-      auto record = ss.store->GetByKey(msg.key);
-      ack.ok = true;
-      if (record.ok()) {
-        ack.found = true;
-        ack.digest_ts = core::RecordTimestamp(*record);
-        ack.digest_origin = core::RecordOrigin(*record);
-      } else if (!record.status().IsNotFound()) {
-        ack.ok = false;
-        ack.error = record.status().ToString();
-      }
-      if (ack.ok) ++ss.stats.replica_digests_served;
-    }
     SendToNode(from, kMsgGetAck, EncodeGetAck(ack));
     return;
   }
@@ -477,26 +440,10 @@ void StorageNode::HandleGetReplica(ShardState& ss, const std::string& from,
   const bool admitted = SubmitWork(
       256, [this, &ss, req, from, key](Micros queued, Micros serviced) {
         RunOnShard(ss.index, [this, &ss, req, from, key, queued, serviced] {
-          GetAckMsg ack;
+          GetAckMsg ack = ReadReplica(ss, key, /*digest_only=*/false);
           ack.req = req;
           ack.queue_micros = queued;
           ack.service_micros = serviced;
-          Status available = server_->CheckAvailable();
-          if (!available.ok()) {
-            ack.ok = false;
-            ack.error = available.ToString();
-          } else {
-            auto record = ss.store->GetByKey(key);
-            ack.ok = true;
-            if (record.ok()) {
-              ack.found = true;
-              ack.record = std::move(*record);
-            } else if (!record.status().IsNotFound()) {
-              ack.ok = false;
-              ack.error = record.status().ToString();
-            }
-            if (ack.ok) ++ss.stats.replica_gets_served;
-          }
           SendToNode(from, kMsgGetAck, EncodeGetAck(ack));
         });
       });
@@ -507,6 +454,74 @@ void StorageNode::HandleGetReplica(ShardState& ss, const std::string& from,
     ack.error = "Busy: request shed";
     SendToNode(from, kMsgGetAck, EncodeGetAck(ack));
   }
+}
+
+PutAckMsg StorageNode::ApplyReplica(ShardState& ss, const bson::Document& record) {
+  PutAckMsg ack;
+  Status available = server_->CheckAvailable();
+  if (!available.ok()) {
+    ack.ok = false;
+    ack.error = available.ToString();
+  } else if (config_.chaos_lying_replica == id_) {
+    // Negative-control harness: acknowledge without applying, so the
+    // coordinator's quorum count overstates durability. The offline
+    // checker must catch the resulting lost updates / stale reads.
+    ack.ok = true;
+  } else {
+    auto applied = ss.store->Apply(record);
+    if (applied.ok()) {
+      ack.ok = true;
+      ++ss.stats.replica_puts_applied;
+    } else {
+      ack.ok = false;
+      ack.error = applied.status().ToString();
+    }
+  }
+  return ack;
+}
+
+GetAckMsg StorageNode::ReadReplica(ShardState& ss, const std::string& key,
+                                   bool digest_only) {
+  GetAckMsg ack;
+  ack.digest = digest_only;
+  Status available = server_->CheckAvailable();
+  if (!available.ok()) {
+    ack.ok = false;
+    ack.error = available.ToString();
+    return ack;
+  }
+  auto record = ss.store->GetByKey(key);
+  ack.ok = true;
+  if (record.ok()) {
+    ack.found = true;
+    if (digest_only) {
+      ack.digest_ts = core::RecordTimestamp(*record);
+      ack.digest_origin = core::RecordOrigin(*record);
+    } else {
+      ack.record = std::move(*record);
+    }
+  } else if (!record.status().IsNotFound()) {
+    ack.ok = false;
+    ack.error = record.status().ToString();
+  }
+  if (ack.ok) ++(digest_only ? ss.stats.replica_digests_served
+                             : ss.stats.replica_gets_served);
+  return ack;
+}
+
+void StorageNode::PutReplicaInPlace(ShardState& ss, std::uint64_t req,
+                                    const bson::Document& record) {
+  PutAckMsg ack = ApplyReplica(ss, record);
+  if (req == 0) return;
+  ack.req = req;
+  HandlePutAck(ss, id_, std::move(ack));
+}
+
+void StorageNode::GetReplicaInPlace(ShardState& ss, std::uint64_t req,
+                                    const std::string& key, bool digest_only) {
+  GetAckMsg ack = ReadReplica(ss, key, digest_only);
+  ack.req = req;
+  HandleGetAck(ss, id_, std::move(ack));
 }
 
 void StorageNode::HandleHintStore(ShardState& ss, const std::string& from,
@@ -612,10 +627,15 @@ void StorageNode::StartPut(ShardState& ss, bson::Document record,
   // hint ("another temporary node C that is detected and found by
   // heartbeat mechanism" — Fig. 8).
   std::vector<std::size_t> known_dead;
+  std::size_t own = targets.size();  // this node's slot, when served in place
   std::optional<bson::Document> copy_body;
   for (std::size_t slot = 0; slot < targets.size(); ++slot) {
     if (LivenessOf(ss, targets[slot]) == gossip::Liveness::kDead) {
       known_dead.push_back(slot);
+      continue;
+    }
+    if (ServesInPlace(targets[slot])) {
+      own = slot;
       continue;
     }
     SendPutReplica(req, pending, targets[slot], &copy_body);
@@ -628,6 +648,14 @@ void StorageNode::StartPut(ShardState& ss, bson::Document record,
     // With handoff disabled every known-dead target counts as answered, so
     // an unreachable quorum can already be decided here (fast fail).
     AdvancePut(ss, req, pending, /*expired=*/false);
+  }
+  // This node's own copy goes last, once every frame is out: its ack can
+  // conclude and retire the put (the unanswered own slot kept it pending
+  // until here), and at W >= 2 the put waits for a remote ack anyway.
+  if (own == 0) {
+    PutReplicaInPlace(ss, req, pending.record);  // the primary's original
+  } else if (own < targets.size()) {
+    PutReplicaInPlace(ss, req, core::AsReplicaCopy(pending.record));
   }
 }
 
@@ -854,20 +882,36 @@ void StorageNode::IssueRead(ShardState& ss, const std::string& key,
     }
   });
   get.plan = std::move(plan);
-  const ReadPlan& issued =
-      ss.pending_gets.emplace(req, std::move(get)).first->second.plan;
+  const ReadPlan* issued =
+      &ss.pending_gets.emplace(req, std::move(get)).first->second.plan;
+
+  // This node's own replica answers in place before any frame leaves, so
+  // an R=1 read concludes here (and stays pending for read repair). The
+  // answer can also retire the read or demote it into a new request id;
+  // then nothing more goes out under this one.
+  const auto own_it = std::find_if(
+      issued->targets.begin(), issued->targets.end(),
+      [this](const std::string& target) { return ServesInPlace(target); });
+  const auto own = static_cast<std::size_t>(own_it - issued->targets.begin());
+  if (own < issued->targets.size()) {
+    GetReplicaInPlace(ss, req, key, static_cast<int>(own) == issued->verifier);
+    auto it = ss.pending_gets.find(req);
+    if (it == ss.pending_gets.end()) return;
+    issued = &it->second.plan;
+  }
 
   GetReplicaMsg msg;
   msg.req = req;
   msg.key = key;
   const bson::Document body = EncodeGetReplica(msg);
-  for (std::size_t i = 0; i < issued.targets.size(); ++i) {
-    if (static_cast<int>(i) != issued.verifier) {
-      SendToNode(issued.targets[i], kMsgGetReplica, body);
+  for (std::size_t i = 0; i < issued->targets.size(); ++i) {
+    if (i == own) continue;
+    if (static_cast<int>(i) != issued->verifier) {
+      SendToNode(issued->targets[i], kMsgGetReplica, body);
       continue;
     }
     msg.digest_only = true;
-    SendToNode(issued.targets[i], kMsgGetReplica, EncodeGetReplica(msg));
+    SendToNode(issued->targets[i], kMsgGetReplica, EncodeGetReplica(msg));
   }
 }
 
@@ -983,11 +1027,15 @@ void StorageNode::AdvanceRead(ShardState& ss, std::uint64_t req,
         }
         continue;
       }
+      ++ss.stats.read_repairs;
+      if (ServesInPlace(target)) {
+        PutReplicaInPlace(ss, /*req=*/0, core::AsReplicaCopy(*repair.winner));
+        continue;
+      }
       PutReplicaMsg msg;
       msg.req = 0;  // fire-and-forget
       msg.record = core::AsReplicaCopy(*repair.winner);
       SendToNode(target, kMsgPutReplica, EncodePutReplica(msg));
-      ++ss.stats.read_repairs;
     }
   }
   ss.executor->CancelTimer(get.timeout_event);

@@ -452,6 +452,36 @@ class StorageNode {
                         PutReplicaMsg msg) HOTMAN_SHARD_AFFINE;
   void HandleGetReplica(ShardState& ss, const std::string& from,
                         GetReplicaMsg msg) HOTMAN_SHARD_AFFINE;
+  /// The replica work of a put_replica: applies `record` to `ss`'s store
+  /// partition and returns the ack (the caller fills in the request id and
+  /// the queue/service breakdown).
+  PutAckMsg ApplyReplica(ShardState& ss,
+                         const bson::Document& record) HOTMAN_SHARD_AFFINE;
+  /// The replica work of a get_replica: the record of `key`, or with
+  /// `digest_only` its (_ts, _origin) version alone, as an ack.
+  GetAckMsg ReadReplica(ShardState& ss, const std::string& key,
+                        bool digest_only) HOTMAN_SHARD_AFFINE;
+
+  /// Whether a put_replica or get_replica to `target` is served in place:
+  /// `target` is this node and the runtime is threaded. The coordinator
+  /// then runs ApplyReplica / ReadReplica itself and hands the ack straight
+  /// to HandlePutAck / HandleGetAck. The deterministic runtime keeps the
+  /// loopback frame: its network model charges that hop, and the chaos
+  /// history hashes depend on it.
+  bool ServesInPlace(const std::string& target) const {
+    return sharded_->threaded() && target == id_;
+  }
+  /// This node's own put_replica of `record` for request `req` (0: a
+  /// fire-and-forget repair), served in place. May conclude and retire
+  /// the put.
+  void PutReplicaInPlace(ShardState& ss, std::uint64_t req,
+                         const bson::Document& record) HOTMAN_SHARD_AFFINE;
+  /// This node's own get_replica of `key` for request `req`, served in
+  /// place. May conclude the read, retire it, or demote it into a new
+  /// request.
+  void GetReplicaInPlace(ShardState& ss, std::uint64_t req,
+                         const std::string& key,
+                         bool digest_only) HOTMAN_SHARD_AFFINE;
   void HandleHintStore(ShardState& ss, const std::string& from,
                        HintStoreMsg msg) HOTMAN_SHARD_AFFINE;
   void HandleHandoffDeliver(ShardState& ss, const std::string& from,

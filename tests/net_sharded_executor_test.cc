@@ -7,8 +7,9 @@
 // shutdown obeys the same run-or-count conservation law as
 // TcpTransport::Post. Both runtimes are covered: threaded reactors and the
 // deterministic sim multiplexing, plus a whole StorageNode on the threaded
-// runtime hotmand ships, which stops rather than race when one of its
-// shards sends the node a system message.
+// runtime hotmand ships: it serves its own replica in place (no frame, a
+// nack and a fast-read demotion included), and it stops rather than race
+// when one of its shards sends the node a system message.
 
 #include "net/sharded_executor.h"
 
@@ -17,6 +18,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -610,39 +612,115 @@ cluster::ClusterConfig SoloNodeConfig() {
   return config;
 }
 
-TEST(ShardedRuntimeTest, ThreeShardNodeServesReadYourWritesWithoutLoopbackHops) {
-  // hotmand's launch order: transport.Start -> sharded.Launch -> node ctor
-  // -> node->Start on the loop. N=W=R=1 on one node, so every op's replica
-  // frame and its ack are loopback frames on the key's own shard.
-  TcpTransportConfig net_config;
-  net_config.listen_port = 0;
-  TcpTransport transport(net_config);
-  ASSERT_TRUE(transport.Start().ok());
-  ShardedExecutorConfig shard_config;
-  shard_config.shards = 3;
-  ShardedExecutor sharded(&transport, shard_config);
-  ASSERT_TRUE(sharded.Launch().ok());
-
-  const cluster::ClusterConfig config = SoloNodeConfig();
-  ASSERT_TRUE(config.Validate().ok());
-  auto node = std::make_unique<cluster::StorageNode>(
-      config.nodes.front(), config, &transport, /*injector=*/nullptr,
-      /*rng_seed=*/1, &sharded);
-  RunOnLoop(&transport, [&] { node->Start(); });
-
-  constexpr int kKeysPerShard = 6;
-  std::vector<std::string> keys;
-  std::vector<int> per_shard(3, 0);
-  for (int i = 0; static_cast<int>(keys.size()) < 3 * kKeysPerShard; ++i) {
-    const std::string key = "rt" + std::to_string(i);
-    int& count = per_shard[static_cast<std::size_t>(node->ShardOfKey(key))];
-    if (count == kKeysPerShard) continue;
-    ++count;
-    keys.push_back(key);
+/// One StorageNode on hotmand's runtime: transport.Start -> sharded.Launch
+/// -> node ctor -> node->Start on the loop, and the reverse at teardown.
+/// Ops run from the test thread and wait for their answer, counting every
+/// callback so a test can check that each op answered exactly once.
+class ShardedRuntimeTest : public ::testing::Test {
+ protected:
+  void Boot(const cluster::ClusterConfig& config) {
+    ASSERT_TRUE(config.Validate().ok());
+    config_ = config;
+    TcpTransportConfig net_config;
+    net_config.listen_port = 0;
+    transport_ = std::make_unique<TcpTransport>(net_config);
+    ASSERT_TRUE(transport_->Start().ok());
+    ShardedExecutorConfig shard_config;
+    shard_config.shards = config.shards;
+    sharded_ = std::make_unique<ShardedExecutor>(transport_.get(), shard_config);
+    ASSERT_TRUE(sharded_->Launch().ok());
+    node_ = std::make_unique<cluster::StorageNode>(
+        config.nodes.front(), config, transport_.get(), /*injector=*/nullptr,
+        /*rng_seed=*/1, sharded_.get());
+    RunOnLoop(transport_.get(), [&] { node_->Start(); });
   }
 
-  metrics::Registry before = Exported(transport);
-  const std::uint64_t posts_before = sharded.cross_posts();
+  void TearDown() override {
+    if (node_ == nullptr) return;
+    RunOnLoop(transport_.get(), [&] { node_->Stop(); });
+    sharded_->Shutdown();
+    transport_->Stop();
+    EXPECT_EQ(sharded_->posts_dropped_stopped(), 0u);
+    EXPECT_EQ(Exported(*transport_).counter("net.posts_dropped_stopped")->value(),
+              0u);
+  }
+
+  /// One op's answer: the first callback fulfils the promise; every
+  /// callback counts in `answers_`, so a test sees a second answer.
+  template <typename T>
+  struct Reply {
+    std::promise<T> promise;
+    std::atomic<bool> answered{false};
+    void Set(T value) {
+      if (!answered.exchange(true)) promise.set_value(std::move(value));
+    }
+  };
+
+  /// A coordinated put's status; Timeout when no answer came within 5 s.
+  Status Put(const std::string& key, const std::string& value) {
+    auto reply = std::make_shared<Reply<Status>>();
+    node_->CoordinatePut(key, ToBytes(value), [this, reply](const Status& s) {
+      answers_.fetch_add(1);
+      reply->Set(s);
+    });
+    auto answer = reply->promise.get_future();
+    if (answer.wait_for(5s) != std::future_status::ready) {
+      return Status::Timeout("no answer to put " + key);
+    }
+    return answer.get();
+  }
+
+  /// A coordinated get's value, or its failure status as text.
+  std::string Get(const std::string& key) {
+    auto reply = std::make_shared<Reply<std::string>>();
+    node_->CoordinateGet(key, [this, reply](const Result<bson::Document>& r) {
+      answers_.fetch_add(1);
+      reply->Set(r.ok() ? ToString(core::RecordValue(*r)) : r.status().ToString());
+    });
+    auto answer = reply->promise.get_future();
+    if (answer.wait_for(5s) != std::future_status::ready) {
+      return "<no answer to get " + key + ">";
+    }
+    return answer.get();
+  }
+
+  /// The change in a transport counter since `before`.
+  std::uint64_t NetDelta(metrics::Registry& before, const char* name) const {
+    return Exported(*transport_).counter(name)->value() -
+           before.counter(name)->value();
+  }
+
+  /// Keys spread evenly over the node's shards.
+  std::vector<std::string> KeysPerShard(int per_shard) const {
+    std::vector<std::string> keys;
+    std::vector<int> count(static_cast<std::size_t>(node_->num_shards()), 0);
+    for (int i = 0;
+         static_cast<int>(keys.size()) < per_shard * node_->num_shards(); ++i) {
+      const std::string key = "rt" + std::to_string(i);
+      int& n = count[static_cast<std::size_t>(node_->ShardOfKey(key))];
+      if (n == per_shard) continue;
+      ++n;
+      keys.push_back(key);
+    }
+    return keys;
+  }
+
+  cluster::ClusterConfig config_;
+  std::unique_ptr<TcpTransport> transport_;
+  std::unique_ptr<ShardedExecutor> sharded_;
+  std::unique_ptr<cluster::StorageNode> node_;
+  std::atomic<int> answers_{0};
+};
+
+TEST_F(ShardedRuntimeTest, ThreeShardNodeServesReadYourWritesWithoutLoopbackHops) {
+  // N=W=R=1 on one node: every op's one replica is the coordinator itself,
+  // served in place on the key's own shard, so no frame is sent at all.
+  Boot(SoloNodeConfig());
+  const std::vector<std::string> keys = KeysPerShard(6);
+
+  metrics::Registry before = Exported(*transport_);
+  const cluster::NodeStats stats_before = node_->stats();
+  const std::uint64_t posts_before = sharded_->cross_posts();
 
   constexpr int kCallers = 2;
   std::atomic<int> failures{0};
@@ -654,24 +732,10 @@ TEST(ShardedRuntimeTest, ThreeShardNodeServesReadYourWritesWithoutLoopbackHops) 
         mine.push_back(keys[i]);
       }
       for (const std::string& key : mine) {
-        std::promise<Status> put;
-        node->CoordinatePut(key, ToBytes("v-" + key),
-                            [&put](const Status& s) { put.set_value(s); });
-        auto done = put.get_future();
-        if (done.wait_for(5s) != std::future_status::ready || !done.get().ok()) {
-          failures.fetch_add(1);
-        }
+        if (!Put(key, "v-" + key).ok()) failures.fetch_add(1);
       }
       for (const std::string& key : mine) {
-        std::promise<std::string> get;
-        node->CoordinateGet(key, [&get](const Result<bson::Document>& r) {
-          get.set_value(r.ok() ? ToString(core::RecordValue(*r)) : "<error>");
-        });
-        auto done = get.get_future();
-        if (done.wait_for(5s) != std::future_status::ready ||
-            done.get() != "v-" + key) {
-          failures.fetch_add(1);
-        }
+        if (Get(key) != "v-" + key) failures.fetch_add(1);
       }
     });
   }
@@ -679,26 +743,95 @@ TEST(ShardedRuntimeTest, ThreeShardNodeServesReadYourWritesWithoutLoopbackHops) 
 
   const std::uint64_t ops = 2 * keys.size();
   EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(answers_.load(), static_cast<int>(ops));
   // Each op crosses threads once, from its caller onto the key's shard; its
-  // replica frame and ack never leave that shard.
-  EXPECT_EQ(sharded.cross_posts() - posts_before, ops);
-  metrics::Registry after = Exported(transport);
-  const auto delta = [&](const char* name) {
-    return after.counter(name)->value() - before.counter(name)->value();
-  };
-  EXPECT_EQ(delta("net.frames_sent"), 2 * ops);
-  EXPECT_EQ(delta("net.frames_delivered"), 2 * ops);
+  // replica work runs there as a call.
+  EXPECT_EQ(sharded_->cross_posts() - posts_before, ops);
+  EXPECT_EQ(NetDelta(before, "net.frames_sent"), 0u);
+  EXPECT_EQ(NetDelta(before, "net.frames_delivered"), 0u);
   for (const char* dropped :
        {"net.frames_dropped", "net.dropped_no_endpoint",
         "net.dropped_not_connected", "net.dropped_backpressure"}) {
-    EXPECT_EQ(delta(dropped), 0u) << dropped;
+    EXPECT_EQ(NetDelta(before, dropped), 0u) << dropped;
   }
+  // The replica work still happens, and is still counted, once per op.
+  const cluster::NodeStats stats_after = node_->stats();
+  EXPECT_EQ(stats_after.replica_puts_applied - stats_before.replica_puts_applied,
+            keys.size());
+  EXPECT_EQ(stats_after.replica_gets_served - stats_before.replica_gets_served,
+            keys.size());
+}
 
-  RunOnLoop(&transport, [&] { node->Stop(); });
-  sharded.Shutdown();
-  transport.Stop();
-  EXPECT_EQ(sharded.posts_dropped_stopped(), 0u);
-  EXPECT_EQ(Exported(transport).counter("net.posts_dropped_stopped")->value(), 0u);
+TEST_F(ShardedRuntimeTest, FaultedOwnReplicaNacksInPlaceOnce) {
+  // The own replica's nack drives the put and get state machines exactly as
+  // a nack frame did: each op fails at once (no remote replica, no handoff
+  // substitute), and nothing is applied, served or sent.
+  Boot(SoloNodeConfig());
+  const std::string key = KeysPerShard(1).back();
+  metrics::Registry before = Exported(*transport_);
+  const cluster::NodeStats stats_before = node_->stats();
+
+  node_->server()->SetFault(docstore::FaultMode::kDown);
+  auto started = std::chrono::steady_clock::now();
+  const Status put = Put(key, "v1");
+  const auto put_wait = std::chrono::steady_clock::now() - started;
+  started = std::chrono::steady_clock::now();
+  const std::string get = Get(key);
+  const auto get_wait = std::chrono::steady_clock::now() - started;
+
+  EXPECT_FALSE(put.ok());
+  EXPECT_TRUE(put.IsQuorumFailed()) << put.ToString();
+  EXPECT_NE(get.find("Unavailable"), std::string::npos) << get;
+  EXPECT_LT(put_wait, std::chrono::microseconds(config_.put_timeout / 4));
+  EXPECT_LT(get_wait, std::chrono::microseconds(config_.get_timeout / 4));
+  const cluster::NodeStats faulted = node_->stats();
+  EXPECT_EQ(faulted.puts_failed - stats_before.puts_failed, 1u);
+  EXPECT_EQ(faulted.gets_failed - stats_before.gets_failed, 1u);
+  EXPECT_EQ(faulted.replica_puts_applied, stats_before.replica_puts_applied);
+  EXPECT_EQ(faulted.replica_gets_served, stats_before.replica_gets_served);
+  EXPECT_EQ(faulted.replica_digests_served, stats_before.replica_digests_served);
+  EXPECT_EQ(NetDelta(before, "net.frames_sent"), 0u);
+
+  node_->server()->SetFault(docstore::FaultMode::kNone);
+  EXPECT_TRUE(Put(key, "v2").ok());
+  EXPECT_EQ(Get(key), "v2");
+  EXPECT_EQ(answers_.load(), 4);
+  EXPECT_EQ(NetDelta(before, "net.frames_sent"), 0u);
+}
+
+TEST_F(ShardedRuntimeTest, FastReadDemotesAndReissuesInPlace) {
+  // Strict fast reads (hinted handoff off): a clean key's get asks the
+  // primary alone. Here the primary is the coordinator, so a miss demotes
+  // inside the in-place answer and re-issues as a quorum read under a new
+  // request id (IssueRead -> HandleGetAck -> AdvanceRead -> IssueRead),
+  // which answers NotFound once; the first request sends nothing after.
+  cluster::ClusterConfig config = SoloNodeConfig();
+  config.fast_reads = true;
+  config.hinted_handoff = false;
+  Boot(config);
+  const std::vector<std::string> keys = KeysPerShard(1);
+  const std::string& missing = keys[0];
+  const std::string& present = keys[1];
+  ASSERT_TRUE(Put(present, "here").ok());
+  ASSERT_TRUE(node_->KeyIsClean(present));
+  ASSERT_TRUE(node_->KeyIsClean(missing));
+
+  metrics::Registry before = Exported(*transport_);
+  const cluster::NodeStats stats_before = node_->stats();
+  const std::string miss = Get(missing);
+  const cluster::NodeStats demoted = node_->stats();
+  EXPECT_NE(miss.find("NotFound"), std::string::npos) << miss;
+  EXPECT_EQ(demoted.fast_read_demotions - stats_before.fast_read_demotions, 1u);
+  EXPECT_EQ(demoted.fast_read_hits, stats_before.fast_read_hits);
+  // The fast attempt and the quorum re-issue each read the own replica.
+  EXPECT_EQ(demoted.replica_gets_served - stats_before.replica_gets_served, 2u);
+
+  EXPECT_EQ(Get(present), "here");
+  const cluster::NodeStats hit = node_->stats();
+  EXPECT_EQ(hit.fast_read_hits - demoted.fast_read_hits, 1u);
+  EXPECT_EQ(hit.fast_read_demotions, demoted.fast_read_demotions);
+  EXPECT_EQ(NetDelta(before, "net.frames_sent"), 0u);
+  EXPECT_EQ(answers_.load(), 3);
 }
 
 TEST(ShardedRuntimeDeathTest, SystemMessageAShardSendsItsOwnNodeAborts) {
