@@ -1,7 +1,7 @@
 // TCP saturation knee of a real loopback cluster: spawns three `hotmand`
 // daemons (actual sockets, actual reactor threads), drives a closed-loop
 // 90/10 get/put workload at rising client concurrency, and reports
-// throughput and get p50/p99 per level plus the knee — the concurrency
+// throughput and get and put p50/p99 per level plus the knee — the concurrency
 // level past which extra clients stop buying throughput. Run at --shards=1
 // vs --shards=3 to compare the single-reactor node against the
 // shard-per-core one. Any failed op makes the run exit non-zero.
@@ -130,13 +130,14 @@ std::string KeyOf(int i) { return "sat" + std::to_string(i); }
 struct Level {
   double ops_per_sec = 0.0;
   workload::LatencyRecorder get_latency;  ///< successful gets, whole µs
+  workload::LatencyRecorder put_latency;  ///< successful puts, whole µs
   std::uint64_t failures = 0;
 };
 
 /// Closed-loop throughput at `concurrency` workers, 90/10 get/put, workers
 /// spread round-robin over the three nodes. Every worker owns its own
 /// connection (RemoteClient is single-threaded by contract) and its own
-/// latency recorder, merged after the window.
+/// latency recorders, merged after the window.
 Level MeasureLevel(const std::vector<DaemonNode>& nodes, int concurrency,
                    std::chrono::milliseconds window) {
   std::atomic<bool> go{false};
@@ -145,6 +146,8 @@ Level MeasureLevel(const std::vector<DaemonNode>& nodes, int concurrency,
   std::atomic<std::uint64_t> failures{0};
   std::vector<std::uint64_t> counts(static_cast<std::size_t>(concurrency), 0);
   std::vector<workload::LatencyRecorder> get_latency(
+      static_cast<std::size_t>(concurrency));
+  std::vector<workload::LatencyRecorder> put_latency(
       static_cast<std::size_t>(concurrency));
   std::vector<std::thread> pool;
   pool.reserve(static_cast<std::size_t>(concurrency));
@@ -160,22 +163,21 @@ Level MeasureLevel(const std::vector<DaemonNode>& nodes, int concurrency,
       while (!stop.load(std::memory_order_relaxed)) {
         rng = rng * 6364136223846793005ull + 1442695040888963407ull;
         const int i = static_cast<int>((rng >> 33) % kKeys);
+        const bool write = (rng & 1023) < 102;  // ~10% writes
+        const auto started = std::chrono::steady_clock::now();
         bool ok;
-        if ((rng & 1023) < 102) {  // ~10% writes
+        if (write) {
           ok = client.Put(node.name, KeyOf(i), ToBytes("w")).ok();
         } else {
-          const auto started = std::chrono::steady_clock::now();
           const auto r = client.Get(node.name, KeyOf(i));
           ok = r.ok() || r.status().IsNotFound();
-          if (ok) {
-            get_latency[static_cast<std::size_t>(w)].Record(
-                std::chrono::duration_cast<std::chrono::microseconds>(
-                    std::chrono::steady_clock::now() - started)
-                    .count());
-          }
         }
         if (ok) {
           ++n;
+          (write ? put_latency : get_latency)[static_cast<std::size_t>(w)].Record(
+              std::chrono::duration_cast<std::chrono::microseconds>(
+                  std::chrono::steady_clock::now() - started)
+                  .count());
         } else {
           failures.fetch_add(1, std::memory_order_relaxed);
         }
@@ -196,6 +198,9 @@ Level MeasureLevel(const std::vector<DaemonNode>& nodes, int concurrency,
   for (std::uint64_t c : counts) total += c;
   for (const workload::LatencyRecorder& worker : get_latency) {
     for (Micros sample : worker.samples()) level.get_latency.Record(sample);
+  }
+  for (const workload::LatencyRecorder& worker : put_latency) {
+    for (Micros sample : worker.samples()) level.put_latency.Record(sample);
   }
   level.failures = failures.load();
   const double seconds =
@@ -324,7 +329,7 @@ int main(int argc, char** argv) {
 
   bench::Section("closed-loop 90/10 get/put by client concurrency");
   bench::Row({"clients", "ops/sec", "vs prev", "get p50 us", "get p99 us",
-              "failed"});
+              "put p50 us", "put p99 us", "failed"});
   std::vector<double> tputs;
   int knee_concurrency = levels.front();
   double knee_ops = 0.0;
@@ -334,15 +339,20 @@ int main(int argc, char** argv) {
     const Level level = MeasureLevel(nodes, levels[l], window);
     const double tput = level.ops_per_sec;
     const double gain = l == 0 || tputs.back() <= 0 ? 1.0 : tput / tputs.back();
-    const Micros p50 = level.get_latency.Percentile(50);
-    const Micros p99 = level.get_latency.Percentile(99);
+    const Micros get_p50 = level.get_latency.Percentile(50);
+    const Micros get_p99 = level.get_latency.Percentile(99);
+    const Micros put_p50 = level.put_latency.Percentile(50);
+    const Micros put_p99 = level.put_latency.Percentile(99);
     bench::Row({std::to_string(levels[l]), bench::Fmt(tput, 0),
-                l == 0 ? "-" : bench::Fmt(gain, 2) + "x", std::to_string(p50),
-                std::to_string(p99), std::to_string(level.failures)});
+                l == 0 ? "-" : bench::Fmt(gain, 2) + "x", std::to_string(get_p50),
+                std::to_string(get_p99), std::to_string(put_p50),
+                std::to_string(put_p99), std::to_string(level.failures)});
     const std::string prefix = "c" + std::to_string(levels[l]);
     json.Number(prefix + "_ops_per_sec", tput, 0);
-    json.Integer(prefix + "_get_p50_us", p50);
-    json.Integer(prefix + "_get_p99_us", p99);
+    json.Integer(prefix + "_get_p50_us", get_p50);
+    json.Integer(prefix + "_get_p99_us", get_p99);
+    json.Integer(prefix + "_put_p50_us", put_p50);
+    json.Integer(prefix + "_put_p99_us", put_p99);
     json.Integer(prefix + "_failed_ops", static_cast<long long>(level.failures));
     failed_ops += level.failures;
     // The knee: the last level that still bought >=10% more throughput.

@@ -509,21 +509,6 @@ GetAckMsg StorageNode::ReadReplica(ShardState& ss, const std::string& key,
   return ack;
 }
 
-void StorageNode::PutReplicaInPlace(ShardState& ss, std::uint64_t req,
-                                    const bson::Document& record) {
-  PutAckMsg ack = ApplyReplica(ss, record);
-  if (req == 0) return;
-  ack.req = req;
-  HandlePutAck(ss, id_, std::move(ack));
-}
-
-void StorageNode::GetReplicaInPlace(ShardState& ss, std::uint64_t req,
-                                    const std::string& key, bool digest_only) {
-  GetAckMsg ack = ReadReplica(ss, key, digest_only);
-  ack.req = req;
-  HandleGetAck(ss, id_, std::move(ack));
-}
-
 void StorageNode::HandleHintStore(ShardState& ss, const std::string& from,
                                   HintStoreMsg msg) {
   PutAckMsg ack;
@@ -651,11 +636,14 @@ void StorageNode::StartPut(ShardState& ss, bson::Document record,
   }
   // This node's own copy goes last, once every frame is out: its ack can
   // conclude and retire the put (the unanswered own slot kept it pending
-  // until here), and at W >= 2 the put waits for a remote ack anyway.
-  if (own == 0) {
-    PutReplicaInPlace(ss, req, pending.record);  // the primary's original
-  } else if (own < targets.size()) {
-    PutReplicaInPlace(ss, req, core::AsReplicaCopy(pending.record));
+  // until here), and at W >= 2 the put waits for a remote ack anyway. The
+  // primary stores the original, anyone else a replica copy.
+  if (own < targets.size()) {
+    PutAckMsg ack = own == 0
+                        ? ApplyReplica(ss, pending.record)
+                        : ApplyReplica(ss, core::AsReplicaCopy(pending.record));
+    ack.req = req;
+    HandlePutAck(ss, id_, std::move(ack));
   }
 }
 
@@ -886,15 +874,17 @@ void StorageNode::IssueRead(ShardState& ss, const std::string& key,
       &ss.pending_gets.emplace(req, std::move(get)).first->second.plan;
 
   // This node's own replica answers in place before any frame leaves, so
-  // an R=1 read concludes here (and stays pending for read repair). The
-  // answer can also retire the read or demote it into a new request id;
-  // then nothing more goes out under this one.
+  // an R=1 read it can serve concludes here (and stays pending for read
+  // repair). The answer can also retire the read or demote it into a new
+  // request id; then nothing more goes out under this one.
   const auto own_it = std::find_if(
       issued->targets.begin(), issued->targets.end(),
       [this](const std::string& target) { return ServesInPlace(target); });
   const auto own = static_cast<std::size_t>(own_it - issued->targets.begin());
   if (own < issued->targets.size()) {
-    GetReplicaInPlace(ss, req, key, static_cast<int>(own) == issued->verifier);
+    GetAckMsg ack = ReadReplica(ss, key, static_cast<int>(own) == issued->verifier);
+    ack.req = req;
+    HandleGetAck(ss, id_, std::move(ack));
     auto it = ss.pending_gets.find(req);
     if (it == ss.pending_gets.end()) return;
     issued = &it->second.plan;
@@ -1029,7 +1019,8 @@ void StorageNode::AdvanceRead(ShardState& ss, std::uint64_t req,
       }
       ++ss.stats.read_repairs;
       if (ServesInPlace(target)) {
-        PutReplicaInPlace(ss, /*req=*/0, core::AsReplicaCopy(*repair.winner));
+        // Fire-and-forget, like the frame: the ack goes nowhere.
+        ApplyReplica(ss, core::AsReplicaCopy(*repair.winner));
         continue;
       }
       PutReplicaMsg msg;

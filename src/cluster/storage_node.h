@@ -465,23 +465,13 @@ class StorageNode {
   /// Whether a put_replica or get_replica to `target` is served in place:
   /// `target` is this node and the runtime is threaded. The coordinator
   /// then runs ApplyReplica / ReadReplica itself and hands the ack straight
-  /// to HandlePutAck / HandleGetAck. The deterministic runtime keeps the
-  /// loopback frame: its network model charges that hop, and the chaos
-  /// history hashes depend on it.
+  /// to HandlePutAck / HandleGetAck, which may conclude, retire or (a
+  /// read) demote the op. The deterministic runtime keeps the loopback
+  /// frame: its network model charges that hop, and the chaos history
+  /// hashes depend on it.
   bool ServesInPlace(const std::string& target) const {
     return sharded_->threaded() && target == id_;
   }
-  /// This node's own put_replica of `record` for request `req` (0: a
-  /// fire-and-forget repair), served in place. May conclude and retire
-  /// the put.
-  void PutReplicaInPlace(ShardState& ss, std::uint64_t req,
-                         const bson::Document& record) HOTMAN_SHARD_AFFINE;
-  /// This node's own get_replica of `key` for request `req`, served in
-  /// place. May conclude the read, retire it, or demote it into a new
-  /// request.
-  void GetReplicaInPlace(ShardState& ss, std::uint64_t req,
-                         const std::string& key,
-                         bool digest_only) HOTMAN_SHARD_AFFINE;
   void HandleHintStore(ShardState& ss, const std::string& from,
                        HintStoreMsg msg) HOTMAN_SHARD_AFFINE;
   void HandleHandoffDeliver(ShardState& ss, const std::string& from,
