@@ -112,8 +112,6 @@ void Reactor::AdoptShard(int shard) {
   if (posted) tagged.get_future().wait();
 }
 
-void Reactor::SetProducerLane(int lane) { tls_producer_lane = lane; }
-
 bool Reactor::OnLoopThread() const {
   return loop_thread_id_.load() == std::this_thread::get_id();
 }

@@ -28,8 +28,8 @@ namespace hotman::net {
 /// for every ready watched fd, then the closures drained from the mailbox,
 /// then every due timer.
 ///
-/// The mailbox has one lock-free SPSC lane per registered producer (the
-/// calling thread's lane, see SetProducerLane) plus a locked overflow lane
+/// The mailbox has one lock-free SPSC lane per shard (a tagged loop
+/// thread's lane is its shard, see AdoptShard) plus a locked overflow lane
 /// for every other thread and for full rings. A reactor built with 0 lanes
 /// has only the locked lane.
 ///
@@ -65,10 +65,6 @@ class Reactor : public Executor {
   /// its producer lane both become `shard`. Call after Launch(); returns
   /// once the tag is set, so every closure posted afterwards runs tagged.
   void AdoptShard(int shard);
-
-  /// Makes `lane` the calling thread's SPSC producer lane in every
-  /// reactor (-1, the default: the locked lane only).
-  static void SetProducerLane(int lane);
 
   bool idle() const { return state_.load() == State::kIdle; }
   bool OnLoopThread() const;

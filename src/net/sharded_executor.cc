@@ -33,14 +33,13 @@ Status ShardedExecutor::Launch() {
     return Status::AlreadyExists("sharded executor already started");
   }
   if (config_.threaded) {
-    const int lanes = config_.shards + config_.external_producer_lanes;
     for (int shard = 0; shard < config_.shards; ++shard) {
       Reactor* reactor = nullptr;
       if (shard == 0 && transport_ != nullptr) {
         reactor = transport_->loop();
       } else {
-        owned_.push_back(
-            std::make_unique<Reactor>(lanes, config_.mailbox_capacity));
+        owned_.push_back(std::make_unique<Reactor>(config_.shards,
+                                                   config_.mailbox_capacity));
         reactor = owned_.back().get();
         HOTMAN_RETURN_IF_ERROR(reactor->Launch());
       }
@@ -142,13 +141,6 @@ void ShardedExecutor::PostSync(int shard, std::function<void()> fn) {
   if (!posted) return;  // dropped by a racing Stop(); counted there
   std::unique_lock<std::mutex> lock(mu);
   cv.wait(lock, [&done] { return done; });
-}
-
-int ShardedExecutor::RegisterExternalProducer() {
-  const int slot = next_external_lane_.fetch_add(1);
-  if (slot >= config_.external_producer_lanes) return -1;
-  Reactor::SetProducerLane(config_.shards + slot);
-  return config_.shards + slot;
 }
 
 std::uint64_t ShardedExecutor::cross_posts() const {

@@ -33,9 +33,6 @@ struct ShardedExecutorConfig {
   bool threaded = false;
   /// Per-lane SPSC mailbox capacity (rounded up to a power of two).
   std::size_t mailbox_capacity = 1024;
-  /// Extra registered-producer lanes beyond the shard threads themselves
-  /// (benchmark client threads and the like).
-  int external_producer_lanes = 8;
 };
 
 /// N reactors behind one node: a deterministic key→shard mapping derived
@@ -99,19 +96,15 @@ class ShardedExecutor {
   /// Runs `fn` in shard `shard`'s context. Same-shard calls run inline;
   /// cross-shard calls travel through the caller's SPSC lane (threaded) or
   /// become a deterministic zero-delay event (non-threaded). Lock-free on
-  /// the hot path: a registered producer only falls back to the mutexed
-  /// overflow lane when its ring is full. The transport's Reactor has no
-  /// SPSC lanes, so a post to shard 0 in transport mode takes that lock.
+  /// the hot path: a shard thread only falls back to the mutexed overflow
+  /// lane when its ring is full. A thread outside every shard, and a post
+  /// to shard 0 in transport mode (the transport's Reactor has no SPSC
+  /// lanes), always takes that lock.
   void Post(int shard, std::function<void()> fn);
 
   /// Runs `fn` on `shard` and waits for it (setup, stats merges, teardown
   /// — never the hot path). Runs inline when already home.
   void PostSync(int shard, std::function<void()> fn);
-
-  /// Claims an SPSC producer lane for the calling thread (benchmark
-  /// clients). Returns the lane index, or -1 when the lanes are exhausted
-  /// (such a thread still posts correctly, via the overflow lane).
-  int RegisterExternalProducer();
 
   std::uint64_t cross_posts() const;
   std::uint64_t mailbox_overflows() const;
@@ -142,7 +135,6 @@ class ShardedExecutor {
   /// Threaded: each shard's reactor, by shard index.
   std::vector<Reactor*> reactors_;
 
-  std::atomic<int> next_external_lane_{0};
   std::atomic<std::uint64_t> cross_posts_{0};
   /// Posts refused at kStopped; the reactors count their own drops.
   std::atomic<std::uint64_t> posts_dropped_stopped_{0};

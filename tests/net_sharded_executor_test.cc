@@ -26,6 +26,7 @@
 #include "cluster/cluster.h"
 #include "common/bytes.h"
 #include "common/metrics.h"
+#include "core/node_host.h"
 #include "core/record.h"
 #include "net/shard_context.h"
 #include "net/spsc_queue.h"
@@ -51,17 +52,6 @@ metrics::Registry Exported(const TcpTransport& transport) {
   metrics::Registry registry;
   transport.ExportStats(&registry);
   return registry;
-}
-
-/// Runs `fn` on the transport loop and waits for it (hotmand's node
-/// start/stop discipline).
-void RunOnLoop(TcpTransport* transport, const std::function<void()>& fn) {
-  std::promise<void> done;
-  transport->Post([&] {
-    fn();
-    done.set_value();
-  });
-  done.get_future().wait();
 }
 
 // --- SPSC ring --------------------------------------------------------------
@@ -368,20 +358,20 @@ TEST(ShardedExecutorTest, ShutdownRunsOrCountsEveryPost) {
 }
 
 TEST(ShardedExecutorTest, OverflowedClosuresStillRunAfterAFullLane) {
-  // A registered producer whose SPSC ring fills must fall back to the
+  // A shard whose SPSC lane into another shard fills must fall back to the
   // overflow lane with the *same* closure: none of the posts may be lost
   // or degrade into empty std::functions (regression: a failed TryPush
   // used to move from its argument, so the overflow lane drained
   // bad_function_call bombs).
   ShardedExecutorConfig config;
-  config.shards = 1;
+  config.shards = 2;
   config.threaded = true;
   config.mailbox_capacity = 4;  // tiny ring: most posts overflow
   sim::EventLoop unused_base;
   ShardedExecutor sharded(&unused_base, config);
   ASSERT_TRUE(sharded.Launch().ok());
 
-  // Wedge the reactor so pushed closures pile up instead of draining.
+  // Wedge shard 0 so pushed closures pile up instead of draining.
   std::promise<void> wedged;
   std::promise<void> release;
   std::shared_future<void> release_future = release.get_future().share();
@@ -391,15 +381,14 @@ TEST(ShardedExecutorTest, OverflowedClosuresStillRunAfterAFullLane) {
   });
   ASSERT_EQ(wedged.get_future().wait_for(5s), std::future_status::ready);
 
+  // Shard 1 is the producer: its thread owns lane 1 of shard 0's mailbox.
   constexpr int kPosts = 32;
   std::atomic<int> executed{0};
-  std::thread producer([&] {
-    ASSERT_GE(sharded.RegisterExternalProducer(), 0);
+  sharded.PostSync(1, [&] {
     for (int i = 0; i < kPosts; ++i) {
       sharded.Post(0, [&executed] { ++executed; });
     }
   });
-  producer.join();
   EXPECT_GE(sharded.mailbox_overflows(), 1u) << "ring never filled";
 
   release.set_value();
@@ -439,46 +428,47 @@ TEST(ShardedExecutorTest, PostAfterShutdownDropsAndCountsNeverRunsInline) {
 }
 
 TEST(ShardedExecutorTest, ConcurrentProducersObeyRunOrCountThroughShutdown) {
-  // Conservation law under contention: producers hammer both shards while
-  // the main thread shuts the executor down mid-stream. Every single post
-  // must either execute or land in posts_dropped_stopped — the lock-free
-  // close path may not leak closures into a ring nobody will ever drain.
+  // Conservation law under contention: every shard hammers the other
+  // shards' SPSC lanes while the main thread shuts the executor down
+  // mid-stream. Every single post must either execute or land in
+  // posts_dropped_stopped — the lock-free close path may not leak closures
+  // into a ring nobody will ever drain.
+  constexpr int kShards = 4;
   ShardedExecutorConfig config;
-  config.shards = 2;
+  config.shards = kShards;
   config.threaded = true;
   config.mailbox_capacity = 16;  // small rings force the overflow path too
-  config.external_producer_lanes = 4;
   sim::EventLoop unused_base;
   ShardedExecutor sharded(&unused_base, config);
   ASSERT_TRUE(sharded.Launch().ok());
 
-  constexpr int kThreads = 4;
-  constexpr int kPostsPerThread = 2000;
+  constexpr int kPostsPerShard = 2000;
   std::atomic<std::uint64_t> executed{0};
-  std::vector<std::thread> producers;
-  producers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    producers.emplace_back([&sharded, &executed, t] {
-      sharded.RegisterExternalProducer();
-      for (int i = 0; i < kPostsPerThread; ++i) {
-        sharded.Post((t + i) % 2, [&executed] { ++executed; });
+  std::atomic<int> started{0};
+  for (int k = 0; k < kShards; ++k) {
+    sharded.Post(k, [&sharded, &executed, &started, k] {
+      started.fetch_add(1);
+      for (int i = 0; i < kPostsPerShard; ++i) {
+        const int other = (k + 1 + i % (kShards - 1)) % kShards;
+        sharded.Post(other, [&executed] { ++executed; });
       }
     });
   }
-  std::this_thread::sleep_for(5ms);
+  // Shut down once every producer runs: each then finishes its loop on
+  // its own reactor, which Shutdown() joins.
+  EXPECT_TRUE(WaitUntil([&] { return started.load() == kShards; }));
   sharded.Shutdown();
-  for (auto& producer : producers) producer.join();
 
   EXPECT_EQ(executed.load() + sharded.posts_dropped_stopped(),
-            static_cast<std::uint64_t>(kThreads) * kPostsPerThread);
+            static_cast<std::uint64_t>(kShards) * kPostsPerShard);
 }
 
 TEST(ShardedExecutorTest, ShardZeroPostsRacingShutdownAndStopAreRunOrCounted) {
   // Transport mode: shard 0's mailbox is the transport loop's, which
-  // outlives Shutdown() until the transport stops. Registered and
-  // unregistered producers hammer shard 0 and shard 1 through both stops:
-  // every post runs, or is counted by the executor or, for one the stopping
-  // loop catches, in net.posts_dropped_stopped.
+  // outlives Shutdown() until the transport stops. Both shards and two
+  // threads outside every shard hammer shard 0 and shard 1 through both
+  // stops: every post runs, or is counted by the executor or, for one the
+  // stopping loop catches, in net.posts_dropped_stopped.
   TcpTransportConfig net_config;
   net_config.listen_port = -1;
   TcpTransport transport(net_config);
@@ -486,32 +476,35 @@ TEST(ShardedExecutorTest, ShardZeroPostsRacingShutdownAndStopAreRunOrCounted) {
   ShardedExecutorConfig config;
   config.shards = 2;
   config.mailbox_capacity = 16;
-  config.external_producer_lanes = 2;
   ShardedExecutor sharded(&transport, config);
   ASSERT_TRUE(sharded.Launch().ok());
 
-  constexpr int kThreads = 4;
-  constexpr int kPostsPerThread = 2000;
+  constexpr int kProducers = 4;  // shard 0, shard 1, two outside threads
+  constexpr int kPostsPerProducer = 2000;
   std::atomic<std::uint64_t> executed{0};
-  std::vector<std::thread> producers;
-  producers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    producers.emplace_back([&sharded, &executed, t] {
-      if (t % 2 == 0) sharded.RegisterExternalProducer();
-      for (int i = 0; i < kPostsPerThread; ++i) {
-        sharded.Post((t + i) % 2, [&executed] { ++executed; });
-      }
-    });
+  std::atomic<int> started{0};
+  auto produce = [&sharded, &executed, &started](int t) {
+    started.fetch_add(1);
+    for (int i = 0; i < kPostsPerProducer; ++i) {
+      sharded.Post((t + i) % 2, [&executed] { ++executed; });
+    }
+  };
+  for (int shard = 0; shard < 2; ++shard) {
+    sharded.Post(shard, [&produce, shard] { produce(shard); });
   }
-  std::this_thread::sleep_for(5ms);
+  std::vector<std::thread> outside;
+  for (int t = 2; t < kProducers; ++t) outside.emplace_back(produce, t);
+  // Stop once every producer runs; a shard producer then finishes its loop
+  // on the thread that the stop joins.
+  EXPECT_TRUE(WaitUntil([&] { return started.load() == kProducers; }));
   sharded.Shutdown();
   transport.Stop();
-  for (auto& producer : producers) producer.join();
+  for (auto& producer : outside) producer.join();
 
   const std::uint64_t loop_dropped =
       Exported(transport).counter("net.posts_dropped_stopped")->value();
   EXPECT_EQ(executed.load() + sharded.posts_dropped_stopped() + loop_dropped,
-            static_cast<std::uint64_t>(kThreads) * kPostsPerThread)
+            static_cast<std::uint64_t>(kProducers) * kPostsPerProducer)
       << "executed=" << executed.load()
       << " sharded=" << sharded.posts_dropped_stopped()
       << " loop=" << loop_dropped;
@@ -612,36 +605,25 @@ cluster::ClusterConfig SoloNodeConfig() {
   return config;
 }
 
-/// One StorageNode on hotmand's runtime: transport.Start -> sharded.Launch
-/// -> node ctor -> node->Start on the loop, and the reverse at teardown.
-/// Ops run from the test thread and wait for their answer, counting every
+/// One StorageNode on hotmand's runtime, hosted as hotmand hosts it. Ops
+/// run from the test thread and wait for their answer, counting every
 /// callback so a test can check that each op answered exactly once.
 class ShardedRuntimeTest : public ::testing::Test {
  protected:
   void Boot(const cluster::ClusterConfig& config) {
     ASSERT_TRUE(config.Validate().ok());
     config_ = config;
-    TcpTransportConfig net_config;
-    net_config.listen_port = 0;
-    transport_ = std::make_unique<TcpTransport>(net_config);
-    ASSERT_TRUE(transport_->Start().ok());
-    ShardedExecutorConfig shard_config;
-    shard_config.shards = config.shards;
-    sharded_ = std::make_unique<ShardedExecutor>(transport_.get(), shard_config);
-    ASSERT_TRUE(sharded_->Launch().ok());
-    node_ = std::make_unique<cluster::StorageNode>(
-        config.nodes.front(), config, transport_.get(), /*injector=*/nullptr,
-        /*rng_seed=*/1, sharded_.get());
-    RunOnLoop(transport_.get(), [&] { node_->Start(); });
+    host_ = std::make_unique<core::NodeHost>(config.nodes.front(), config,
+                                             TcpTransportConfig{}, /*rng_seed=*/1);
+    ASSERT_TRUE(host_->Start().ok());
+    node_ = host_->node();
   }
 
   void TearDown() override {
-    if (node_ == nullptr) return;
-    RunOnLoop(transport_.get(), [&] { node_->Stop(); });
-    sharded_->Shutdown();
-    transport_->Stop();
-    EXPECT_EQ(sharded_->posts_dropped_stopped(), 0u);
-    EXPECT_EQ(Exported(*transport_).counter("net.posts_dropped_stopped")->value(),
+    if (host_ == nullptr) return;
+    host_->Stop();
+    EXPECT_EQ(host_->sharded()->posts_dropped_stopped(), 0u);
+    EXPECT_EQ(Exported(*host_->transport()).counter("net.posts_dropped_stopped")->value(),
               0u);
   }
 
@@ -686,7 +668,7 @@ class ShardedRuntimeTest : public ::testing::Test {
 
   /// The change in a transport counter since `before`.
   std::uint64_t NetDelta(metrics::Registry& before, const char* name) const {
-    return Exported(*transport_).counter(name)->value() -
+    return Exported(*host_->transport()).counter(name)->value() -
            before.counter(name)->value();
   }
 
@@ -706,9 +688,8 @@ class ShardedRuntimeTest : public ::testing::Test {
   }
 
   cluster::ClusterConfig config_;
-  std::unique_ptr<TcpTransport> transport_;
-  std::unique_ptr<ShardedExecutor> sharded_;
-  std::unique_ptr<cluster::StorageNode> node_;
+  std::unique_ptr<core::NodeHost> host_;
+  cluster::StorageNode* node_ = nullptr;
   std::atomic<int> answers_{0};
 };
 
@@ -718,9 +699,9 @@ TEST_F(ShardedRuntimeTest, ThreeShardNodeServesReadYourWritesWithoutLoopbackHops
   Boot(SoloNodeConfig());
   const std::vector<std::string> keys = KeysPerShard(6);
 
-  metrics::Registry before = Exported(*transport_);
+  metrics::Registry before = Exported(*host_->transport());
   const cluster::NodeStats stats_before = node_->stats();
-  const std::uint64_t posts_before = sharded_->cross_posts();
+  const std::uint64_t posts_before = host_->sharded()->cross_posts();
 
   constexpr int kCallers = 2;
   std::atomic<int> failures{0};
@@ -746,7 +727,7 @@ TEST_F(ShardedRuntimeTest, ThreeShardNodeServesReadYourWritesWithoutLoopbackHops
   EXPECT_EQ(answers_.load(), static_cast<int>(ops));
   // Each op crosses threads once, from its caller onto the key's shard; its
   // replica work runs there as a call.
-  EXPECT_EQ(sharded_->cross_posts() - posts_before, ops);
+  EXPECT_EQ(host_->sharded()->cross_posts() - posts_before, ops);
   EXPECT_EQ(NetDelta(before, "net.frames_sent"), 0u);
   EXPECT_EQ(NetDelta(before, "net.frames_delivered"), 0u);
   for (const char* dropped :
@@ -768,7 +749,7 @@ TEST_F(ShardedRuntimeTest, FaultedOwnReplicaNacksInPlaceOnce) {
   // substitute), and nothing is applied, served or sent.
   Boot(SoloNodeConfig());
   const std::string key = KeysPerShard(1).back();
-  metrics::Registry before = Exported(*transport_);
+  metrics::Registry before = Exported(*host_->transport());
   const cluster::NodeStats stats_before = node_->stats();
 
   node_->server()->SetFault(docstore::FaultMode::kDown);
@@ -816,7 +797,7 @@ TEST_F(ShardedRuntimeTest, FastReadDemotesAndReissuesInPlace) {
   ASSERT_TRUE(node_->KeyIsClean(present));
   ASSERT_TRUE(node_->KeyIsClean(missing));
 
-  metrics::Registry before = Exported(*transport_);
+  metrics::Registry before = Exported(*host_->transport());
   const cluster::NodeStats stats_before = node_->stats();
   const std::string miss = Get(missing);
   const cluster::NodeStats demoted = node_->stats();
@@ -844,21 +825,15 @@ TEST(ShardedRuntimeDeathTest, SystemMessageAShardSendsItsOwnNodeAborts) {
       {
         TcpTransportConfig net_config;
         net_config.listen_port = -1;
-        TcpTransport transport(net_config);
-        (void)transport.Start();
-        ShardedExecutorConfig shard_config;
-        shard_config.shards = 3;
-        ShardedExecutor sharded(&transport, shard_config);
-        (void)sharded.Launch();
         const cluster::ClusterConfig config = SoloNodeConfig();
-        cluster::StorageNode node(config.nodes.front(), config, &transport,
-                                  /*injector=*/nullptr, /*rng_seed=*/1, &sharded);
-        RunOnLoop(&transport, [&] { node.Start(); });
-        sharded.Post(2, [&] {
+        core::NodeHost host(config.nodes.front(), config, net_config,
+                            /*rng_seed=*/1);
+        (void)host.Start();
+        host.sharded()->Post(2, [&] {
           Message msg;
           msg.from = msg.to = config.nodes.front().address;
           msg.type = cluster::kMsgNodeAdded;
-          transport.Send(std::move(msg));
+          host.transport()->Send(std::move(msg));
         });
         std::this_thread::sleep_for(5s);
       },

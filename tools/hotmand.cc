@@ -19,16 +19,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <future>
-#include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/config.h"
-#include "cluster/node_server.h"
-#include "cluster/storage_node.h"
 #include "common/logging.h"
+#include "core/node_host.h"
 #include "net/tcp_transport.h"
 
 namespace {
@@ -77,22 +75,16 @@ int main(int argc, char** argv) {
   cluster::ClusterConfig config;
   std::uint64_t rng_seed = 19870;
 
-  for (int i = 1; i < argc; ++i) {
+  for (int i = 1; i < argc; i += 2) {  // every flag takes one value
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
+    if (i + 1 == argc) { Usage(argv[0]); return 2; }
+    const char* v = argv[i + 1];
     if (arg == "--node") {
-      const char* v = next();
-      if (v == nullptr) { Usage(argv[0]); return 2; }
       self = v;
     } else if (arg == "--listen") {
-      const char* v = next();
-      if (v == nullptr || !ParseHostPort(v, &listen)) { Usage(argv[0]); return 2; }
+      if (!ParseHostPort(v, &listen)) { Usage(argv[0]); return 2; }
       have_listen = true;
     } else if (arg == "--peer") {
-      const char* v = next();
-      if (v == nullptr) { Usage(argv[0]); return 2; }
       const std::string spec = v;
       const std::size_t eq = spec.find('=');
       HostPort hp;
@@ -102,8 +94,6 @@ int main(int argc, char** argv) {
       }
       peers.emplace_back(spec.substr(0, eq), hp);
     } else if (arg == "--seeds") {
-      const char* v = next();
-      if (v == nullptr) { Usage(argv[0]); return 2; }
       std::string rest = v;
       while (!rest.empty()) {
         const std::size_t comma = rest.find(',');
@@ -112,33 +102,19 @@ int main(int argc, char** argv) {
         rest.erase(0, comma + 1);
       }
     } else if (arg == "--n") {
-      const char* v = next();
-      if (v == nullptr) { Usage(argv[0]); return 2; }
       config.replication_factor = std::atoi(v);
     } else if (arg == "--w") {
-      const char* v = next();
-      if (v == nullptr) { Usage(argv[0]); return 2; }
       config.write_quorum = std::atoi(v);
     } else if (arg == "--r") {
-      const char* v = next();
-      if (v == nullptr) { Usage(argv[0]); return 2; }
       config.read_quorum = std::atoi(v);
     } else if (arg == "--shards") {
-      const char* v = next();
-      if (v == nullptr) { Usage(argv[0]); return 2; }
       config.shards = std::atoi(v);
     } else if (arg == "--gossip-ms") {
-      const char* v = next();
-      if (v == nullptr) { Usage(argv[0]); return 2; }
       config.gossip.interval = std::atoll(v) * kMicrosPerMilli;
     } else if (arg == "--op-timeout-ms") {
-      const char* v = next();
-      if (v == nullptr) { Usage(argv[0]); return 2; }
       config.put_timeout = std::atoll(v) * kMicrosPerMilli;
       config.get_timeout = config.put_timeout;
     } else if (arg == "--seed-rng") {
-      const char* v = next();
-      if (v == nullptr) { Usage(argv[0]); return 2; }
       rng_seed = std::strtoull(v, nullptr, 10);
     } else {
       Usage(argv[0]);
@@ -150,9 +126,12 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Static membership from --peer.
+  // Static membership from --peer; every other peer is a transport address.
   cluster::NodeSpec self_spec;
   bool self_listed = false;
+  net::TcpTransportConfig tconfig;
+  tconfig.listen_host = listen.host;
+  tconfig.listen_port = listen.port;
   for (const auto& [name, hp] : peers) {
     cluster::NodeSpec spec;
     spec.address = name;
@@ -163,6 +142,8 @@ int main(int argc, char** argv) {
     if (name == self) {
       self_spec = spec;
       self_listed = true;
+    } else {
+      tconfig.peers[name] = net::TcpPeer{hp.host, hp.port};
     }
   }
   if (!self_listed) {
@@ -181,55 +162,19 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  net::TcpTransportConfig tconfig;
-  tconfig.listen_host = listen.host;
-  tconfig.listen_port = listen.port;
-  for (const auto& [name, hp] : peers) {
-    if (name == self) continue;
-    tconfig.peers[name] = net::TcpPeer{hp.host, hp.port};
-  }
-
-  net::TcpTransport transport(tconfig);
   // Shard-per-core runtime: the transport's event loop is shard 0 (gossip,
   // membership, the wire protocol); reactors 1..S-1 carry the keyed
   // coordinator/replica work, routed by ring position.
-  net::ShardedExecutorConfig sconfig;
-  sconfig.shards = config.shards;
-  net::ShardedExecutor sharded(&transport, sconfig);
-
-  if (Status s = transport.Start(); !s.ok()) {
-    std::fprintf(stderr, "hotmand: transport start failed: %s\n",
-                 s.ToString().c_str());
+  core::NodeHost host(self_spec, config, std::move(tconfig), rng_seed);
+  if (Status s = host.Start(); !s.ok()) {
+    std::fprintf(stderr, "hotmand: %s\n", s.message().c_str());
     return 1;
-  }
-  // Launch order matters: the reactors must exist before the node captures
-  // its per-shard executors, and the transport loop must be running so
-  // Launch() can tag it as shard 0.
-  if (Status s = sharded.Launch(); !s.ok()) {
-    std::fprintf(stderr, "hotmand: shard reactors failed to start: %s\n",
-                 s.ToString().c_str());
-    transport.Stop();
-    return 1;
-  }
-  // Safe to construct with the loop live: no frame can reach the node
-  // before RegisterEndpoint inside node->Start() below.
-  auto node = std::make_unique<cluster::StorageNode>(
-      self_spec, config, &transport, /*injector=*/nullptr, rng_seed, &sharded);
-  cluster::NodeServer server(node.get(), &transport);
-  server.Start();
-  {
-    std::promise<void> started;
-    transport.Post([&node, &started] {
-      node->Start();
-      started.set_value();
-    });
-    started.get_future().wait();
   }
   std::signal(SIGINT, OnSignal);
   std::signal(SIGTERM, OnSignal);
   std::fprintf(stderr,
                "hotmand: %s serving on %s:%u (N=%d W=%d R=%d shards=%d)\n",
-               self.c_str(), listen.host.c_str(), transport.listen_port(),
+               self.c_str(), listen.host.c_str(), host.transport()->listen_port(),
                config.replication_factor, config.write_quorum,
                config.read_quorum, config.shards);
 
@@ -238,15 +183,6 @@ int main(int argc, char** argv) {
   }
 
   std::fprintf(stderr, "hotmand: %s shutting down\n", self.c_str());
-  {
-    std::promise<void> stopped;
-    transport.Post([&node, &stopped] {
-      node->Stop();
-      stopped.set_value();
-    });
-    stopped.get_future().wait();
-  }
-  sharded.Shutdown();
-  transport.Stop();
+  host.Stop();
   return 0;
 }
