@@ -89,7 +89,7 @@ RunResult RunOne(int n, double write_ratio, bool fast, bool short_mode) {
   }
   // Let the preload writes age past the quiescence window so the sweep
   // starts from clean dirty sets in both arms.
-  cluster.RunFor(config.fast_read_quiescence + kMicrosPerSecond);
+  cluster.RunFor(cluster::kFastReadQuiescence + kMicrosPerSecond);
 
   for (int c = 0; c < kClients; ++c) {
     auto driver = std::make_unique<Driver>();

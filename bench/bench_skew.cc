@@ -124,7 +124,7 @@ ArmResult RunOne(double theta, bool skewed_writes, bool hot, bool short_mode) {
     (void)cluster.PutSync("k" + std::to_string(i), ToBytes("seed"));
   }
   // Age the preload past the quiescence window: clean dirty sets all round.
-  cluster.RunFor(config.fast_read_quiescence + kMicrosPerSecond);
+  cluster.RunFor(cluster::kFastReadQuiescence + kMicrosPerSecond);
 
   // The pickers are built after the preload so the flash-crowd schedule can
   // anchor its onset in the warmup that follows.

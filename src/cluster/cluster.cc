@@ -23,7 +23,7 @@ Cluster::Cluster(ClusterConfig config, std::uint64_t seed,
                  sim::FailureConfig failure_config)
     : config_(std::move(config)),
       loop_(),
-      transport_(&loop_, config_.network, seed ^ 0x9e3779b97f4a7c15ull),
+      transport_(&loop_, sim::NetworkConfig{}, seed ^ 0x9e3779b97f4a7c15ull),
       injector_(&loop_, transport_.sim_network(), failure_config,
                 seed ^ 0x5851f42d4c957f2dull),
       seed_(seed) {}
@@ -328,10 +328,9 @@ void Cluster::RejoinNode(const std::string& address) {
   auto it = nodes_.find(address);
   if (it == nodes_.end()) return;
   // The rejoiner's own ring view is authoritative for its weight — it
-  // carries the capacity-scaled (and possibly autonomically shed) vnode
-  // count through the crash. Fall back to the config entry only when the
-  // node somehow lost itself; a node in neither is an error, not a silent
-  // default weight.
+  // carries the capacity-scaled vnode count through the crash. Fall back to
+  // the config entry only when the node somehow lost itself; a node in
+  // neither is an error, not a silent default weight.
   int vnodes = it->second->ring().VnodeCount(address);
   if (vnodes < 1) {
     const NodeSpec* spec = nullptr;

@@ -9,8 +9,6 @@
 #include "gossip/failure_detector.h"
 #include "gossip/gossiper.h"
 #include "rebalance/rebalancer.h"
-#include "sim/network_config.h"
-#include "sim/service_station.h"
 
 namespace hotman::cluster {
 
@@ -29,6 +27,12 @@ struct NodeSpec {
 /// weight (at least 1 so every node owns something).
 int EffectiveVnodes(const NodeSpec& spec);
 
+/// How long a key stays dirty (no fast read) after a write that did not
+/// settle on all N holders: some holder may still be catching up via read
+/// repair or anti-entropy, and quorum reads keep repair pressure on it
+/// meanwhile.
+inline constexpr Micros kFastReadQuiescence = 3 * kMicrosPerSecond;
+
 /// Whole-cluster configuration. Defaults mirror the paper's evaluation
 /// setup: (N, W, R) = (3, 2, 1) on five DB nodes (§6.2), Netty-port-style
 /// addresses, and Table 1's software parameters where they are meaningful
@@ -41,7 +45,6 @@ struct ClusterConfig {
 
   // --- membership ---
   std::vector<NodeSpec> nodes;
-  std::string collection = "records";
 
   // --- shard-per-core runtime ---
   /// Internal shards per node (net::ShardedExecutor). Each shard owns a
@@ -57,7 +60,6 @@ struct ClusterConfig {
   // --- failure handling ---
   bool hinted_handoff = true;       ///< short-failure handling (Fig. 8)
   bool read_repair = true;          ///< replica supplementation on Get
-  Micros hint_retry_interval = 2 * kMicrosPerSecond;
 
   // --- fast consistent reads (Harmonia-style dirty-set read path) ---
   /// Serve reads of *clean* keys (no write in flight or recently unsettled
@@ -70,10 +72,6 @@ struct ClusterConfig {
   /// primary, and single-replica misses/errors/timeouts all fall back to
   /// the R-quorum path.
   bool fast_reads = false;
-  /// How long a key stays dirty after a write that did not settle on all N
-  /// holders (some holder may still be catching up via read repair or
-  /// anti-entropy; quorum reads keep repair pressure on it meanwhile).
-  Micros fast_read_quiescence = 3 * kMicrosPerSecond;
 
   // --- hot-spot taming under skew (AutoShard-style heat tracking) ---
   /// Every coordinated op records its key in a shard-local space-saving
@@ -113,17 +111,13 @@ struct ClusterConfig {
   Micros anti_entropy_interval = 10 * kMicrosPerSecond;
 
   // --- elastic membership (src/rebalance/) ---
-  /// Live data movement on join/decommission/reweight: throttle, resume
-  /// and autonomic-trigger policy shared by every node.
+  /// Live data movement on join/decommission/reweight: the throttle
+  /// shared by every node.
   rebalance::RebalanceConfig rebalance;
 
   // --- substrates ---
   gossip::GossipConfig gossip;
   gossip::FailureDetector::Config detector;
-  sim::NetworkConfig network;
-  /// Replica-side queueing/service time, modeled by a ServiceStation on the
-  /// deterministic runtime only; a threaded runtime spends real CPU time.
-  sim::ServiceConfig service;
 
   /// Validates quorum arithmetic and membership (W <= N, R <= N, at least
   /// one node, N >= 1, at least one seed when >1 node).

@@ -15,12 +15,16 @@ namespace {
 /// Extra ring successors examined when picking hinted-handoff substitutes.
 constexpr std::size_t kHandoffCandidateSlack = 4;
 
+/// How often each shard retries delivering its hinted-handoff writes.
+constexpr Micros kHintRetryInterval = 2 * kMicrosPerSecond;
+
 /// Collection name of shard `index`'s replica-store partition. Shard 0
-/// keeps the configured name so a single-shard node is byte-identical to
-/// the pre-sharding layout (and existing tools keep finding "records").
-std::string ShardCollection(const std::string& base, int index) {
-  if (index == 0) return base;
-  return base + "_s" + std::to_string(index);
+/// keeps the plain name so a single-shard node is byte-identical to the
+/// pre-sharding layout (and existing tools keep finding "records").
+std::string ShardCollection(int index) {
+  std::string name = "records";
+  if (index > 0) name += "_s" + std::to_string(index);
+  return name;
 }
 
 /// Aborts unless the caller runs on shard 0 or outside any shard (the
@@ -66,7 +70,8 @@ StorageNode::StorageNode(const NodeSpec& spec, const ClusterConfig& config,
   if (!sharded_->threaded()) {
     // The ServiceStation is a node-level queueing model of the simulator;
     // a threaded (real) runtime measures genuine service time instead.
-    station_ = std::make_unique<sim::ServiceStation>(transport_, config_.service);
+    station_ = std::make_unique<sim::ServiceStation>(transport_,
+                                                     sim::ServiceConfig{});
   }
 
   const int num_shards = sharded_->num_shards();
@@ -77,7 +82,7 @@ StorageNode::StorageNode(const NodeSpec& spec, const ClusterConfig& config,
     ss->executor = sharded_->executor(index);
     ss->heat = HeatTracker(config_.heat);
     ss->store = std::make_unique<ReplicaStore>(
-        server_->db(), ShardCollection(config_.collection, index));
+        server_->db(), ShardCollection(index));
     Status init = ss->store->Init();
     if (!init.ok()) {
       HOTMAN_LOG(kError) << id_ << ": replica store init failed (shard " << index << "): " << init.ToString();  // NOLINT(hotman-transitive-blocking) leaf log sink: bounded lock-copy + stderr write, log text is not replay state
@@ -140,8 +145,10 @@ void StorageNode::Start() {
           // Learned of a new member through gossip.
           OnNodeAdded(endpoint, vnodes);
         } else if (endpoint != id_ && ring_.VnodeCount(endpoint) != vnodes) {
-          // A member changed its ring weight (autonomic shed or operator
-          // reweight): rebuild its points and stream the released arcs.
+          // A member gossips a weight other than its ring weight (say,
+          // `hotman_ctl join NODE VNODES` put VNODES on the ring, while the
+          // daemon gossips its own count): rebuild its points and stream
+          // the released arcs.
           ApplyReweight(endpoint, vnodes);
         }
       });
@@ -156,7 +163,6 @@ void StorageNode::Start() {
   }
   if (config_.anti_entropy) StartAntiEntropyTimer();
   rebalancer_->Start();
-  if (config_.rebalance.autonomic) StartAutonomicTimer();
 }
 
 void StorageNode::Stop() {
@@ -166,8 +172,6 @@ void StorageNode::Stop() {
   detector_->Stop();
   rebalancer_->Stop();
   transport_->CancelTimer(ae_timer_);
-  transport_->CancelTimer(autonomic_timer_);
-  autonomic_timer_ = 0;
   transport_->CancelTimer(sweep_timer_);
   sweep_timer_ = 0;
   sweep_push_pending_ = false;
@@ -1049,7 +1053,7 @@ void StorageNode::MarkKeyDirty(ShardState& ss, const std::string& key) {
     for (auto it = ss.dirty_keys.begin(); it != ss.dirty_keys.end();) {
       const DirtyEntry& aged = it->second;
       if (aged.inflight == 0 &&
-          now - aged.last_write >= config_.fast_read_quiescence) {
+          now - aged.last_write >= kFastReadQuiescence) {
         it = ss.dirty_keys.erase(it);
       } else {
         ++it;
@@ -1078,8 +1082,7 @@ bool StorageNode::KeyIsCleanOnShard(ShardState& ss, const std::string& key) {
   if (it == ss.dirty_keys.end()) return true;
   const DirtyEntry& entry = it->second;
   if (entry.inflight > 0) return false;
-  if (transport_->NowMicros() - entry.last_write <
-      config_.fast_read_quiescence) {
+  if (transport_->NowMicros() - entry.last_write < kFastReadQuiescence) {
     return false;
   }
   // Aged out: the quiescence window lapsed with nothing in flight, giving
@@ -1218,7 +1221,7 @@ std::vector<metrics::TraceRecord> StorageNode::TraceSnapshot() const {
 
 void StorageNode::StartHintTimer(ShardState& ss) {
   ss.hint_timer = ss.executor->ScheduleTimer(
-      config_.hint_retry_interval, [this, &ss]() {
+      kHintRetryInterval, [this, &ss]() {
         if (!running_) return;
         DeliverHints(ss);
         StartHintTimer(ss);
@@ -1425,7 +1428,7 @@ void StorageNode::StartPlannedTransfers(const hashring::Ring& before) {
   // chance to land. Purge-only is safe: on any membership change at N >= 2
   // the other N-1 before-holders keep their preference slots.
   ScheduleOwnershipSweep(/*push_before_purge=*/false,
-                         2 * config_.rebalance.retry_interval);
+                         2 * rebalance::kTransferRetryInterval);
 }
 
 void StorageNode::StartDecommission(std::function<void(const Status&)> done) {
@@ -1516,54 +1519,6 @@ void StorageNode::ApplyReweight(const std::string& node, int vnodes) {
   (void)added;
   SyncShardRings();
   StartPlannedTransfers(before);
-}
-
-void StorageNode::StartAutonomicTimer() {
-  autonomic_timer_ = transport_->ScheduleTimer(
-      config_.rebalance.autonomic_interval, [this] {
-        if (!running_) return;
-        RunAutonomicCheck();
-        StartAutonomicTimer();
-      });
-}
-
-void StorageNode::RunAutonomicCheck() {
-  // H2O-style autonomic trigger: publish our load (record count) through
-  // gossip, and when it exceeds `imbalance_threshold` times the cluster
-  // mean, shed a quarter of our ring weight — the reweight streams the
-  // released arcs out and peers learn the new weight via kStateVnodes.
-  std::size_t local = 0;
-  for (const auto& shard : shards_) {
-    local += StoreOfShard(shard->index)->NumRecords();  // NOLINT(hotman-shard-affinity) docstore-locked count from the rebalance path
-  }
-  gossiper_->SetLocalState(gossip::kStateLoad, std::to_string(local));
-  if (decommissioning_) return;
-
-  double total = static_cast<double>(local);
-  int members = 1;
-  for (const auto& [endpoint, state] : gossiper_->states().states()) {
-    if (endpoint == id_ || !ring_.HasNode(endpoint)) continue;
-    const gossip::VersionedEntry* entry = state.GetEntry(gossip::kStateLoad);
-    if (entry == nullptr) continue;
-    total += std::atof(entry->value.c_str());
-    ++members;
-  }
-  if (members < 2) return;
-  const double mean = total / members;
-  if (mean <= 0.0 ||
-      static_cast<double>(local) <= config_.rebalance.imbalance_threshold * mean) {
-    return;
-  }
-  const int current = ring_.VnodeCount(id_);
-  const int target = std::max(config_.rebalance.autonomic_min_vnodes,
-                              current - std::max(1, current / 4));
-  if (target >= current) return;
-  HOTMAN_LOG(kInfo) << id_ << ": autonomic reweight " << current << " -> "  // NOLINT(hotman-transitive-blocking) leaf log sink: bounded lock-copy + stderr write, log text is not replay state
-                    << target << " vnodes (load " << local << " vs mean "
-                    << mean << ")";
-  rebalancer_->CountAutonomicReweight();
-  gossiper_->SetLocalState(gossip::kStateVnodes, std::to_string(target));
-  ApplyReweight(id_, target);
 }
 
 }  // namespace hotman::cluster

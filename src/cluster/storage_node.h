@@ -312,9 +312,6 @@ class StorageNode {
   /// across shards.
   std::vector<metrics::TraceRecord> TraceSnapshot() const;
 
-  /// Nodes this node believes are cluster members (on its ring).
-  std::vector<std::string> KnownMembers() const { return ring_.Nodes(); }
-
   /// Chaos hook: offsets the timestamps this coordinator stamps into new
   /// records by `skew` (positive = clock runs fast). Models a node whose
   /// wall clock drifted — under last-write-wins that can reorder writes,
@@ -565,11 +562,9 @@ class StorageNode {
   /// executes the plan steps it is the designated source for, then sweeps
   /// the arcs it streamed out.
   void StartPlannedTransfers(const hashring::Ring& before);
-  /// Applies a vnode-weight change for `node` (autonomic trigger or a
-  /// gossiped reweight) and streams the released arcs.
+  /// Applies a gossiped vnode-weight change for `node` and streams the
+  /// released arcs.
   void ApplyReweight(const std::string& node, int vnodes);
-  void StartAutonomicTimer();
-  void RunAutonomicCheck();
 
   /// The N distinct physical preference nodes for `key`, from `ss`'s
   /// membership view.
@@ -605,7 +600,6 @@ class StorageNode {
   std::unique_ptr<rebalance::Rebalancer> rebalancer_;
   bool decommissioning_ = false;
   bool decommissioned_ = false;
-  net::TimerId autonomic_timer_ = 0;
   net::TimerId sweep_timer_ = 0;
   bool sweep_push_pending_ = false;
 };

@@ -14,6 +14,9 @@ namespace {
 /// refresh scan stays off the per-op path.
 constexpr std::uint64_t kHeatRefreshOps = 128;
 
+/// REST worker slots (spawn-fcgi logical processes).
+constexpr int kRestWorkers = 8;
+
 }  // namespace
 
 MyStore::MyStore(MyStoreConfig config)
@@ -24,7 +27,7 @@ MyStore::MyStore(MyStoreConfig config)
                                               config_.cache_bytes_per_server);
   tokens_ = std::make_unique<rest::TokenDb>(cluster_->loop()->clock());
   router_ = std::make_unique<rest::Router>(
-      config_.rest_workers, [this](int worker, const rest::Request& request) {
+      kRestWorkers, [this](int worker, const rest::Request& request) {
         return HandleOnWorker(worker, request);
       });
   key_generator_ = std::make_unique<bson::ObjectIdGenerator>(

@@ -24,8 +24,6 @@ struct MyStoreConfig {
 
   int cache_servers = 4;                                ///< §6.1 deployment
   std::size_t cache_bytes_per_server = std::size_t{1} << 30;  ///< 1 GB each
-  int rest_workers = 8;     ///< spawn-fcgi logical processes
-  bool require_auth = false;  ///< enable URI-signature checks on Handle()
 
   /// Front-side heat tracking over client keys: hot keys get pinned in the
   /// cache pool (and unpinned again once their heat decays), so a flash
@@ -78,9 +76,8 @@ class MyStore {
 
   // --- REST surface -----------------------------------------------------------
 
-  /// Dispatches a request through the distribution module. When
-  /// `require_auth` is set, requests must carry valid token+signature query
-  /// parameters for `user` (see HandleSigned).
+  /// Dispatches a request through the distribution module, unauthenticated
+  /// (HandleSigned is the authenticated path).
   rest::Response Handle(const rest::Request& request);
 
   /// Authenticated dispatch: validates the Fig. 2 URI signature for `user`

@@ -32,7 +32,7 @@ int PollOne(int fd, short events, Micros deadline) {
 }  // namespace
 
 RemoteClient::RemoteClient(RemoteClientConfig config)
-    : config_(std::move(config)), reader_(config_.max_frame_bytes) {}
+    : config_(std::move(config)) {}
 
 RemoteClient::~RemoteClient() { Close(); }
 
@@ -69,7 +69,7 @@ Status RemoteClient::Connect() {
     }
   }
   fd_ = fd;
-  reader_ = FrameReader(config_.max_frame_bytes);
+  reader_ = FrameReader();
   return Status::OK();
 }
 

@@ -23,7 +23,6 @@ struct RemoteClientConfig {
   std::string name = "client";
   Micros connect_timeout = 2 * kMicrosPerSecond;
   Micros op_timeout = 10 * kMicrosPerSecond;
-  std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
 };
 
 /// Blocking client for one `hotmand` node: framed request, poll()-bounded

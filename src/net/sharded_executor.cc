@@ -7,16 +7,12 @@
 #include "common/logging.h"
 #include "net/reactor.h"
 #include "net/tcp_transport.h"
-#include "sim/shard_scheduler.h"
 
 namespace hotman::net {
 
 ShardedExecutor::ShardedExecutor(Executor* base, ShardedExecutorConfig config)
     : config_(config), base_(base) {
   if (config_.shards < 1) config_.shards = 1;
-  if (!config_.threaded) {
-    sim_scheduler_ = std::make_unique<sim::ShardScheduler>(base_, config_.shards);
-  }
 }
 
 ShardedExecutor::ShardedExecutor(TcpTransport* transport,
@@ -89,11 +85,20 @@ Executor* ShardedExecutor::executor(int shard) {
 }
 
 void ShardedExecutor::Post(int shard, std::function<void()> fn) {
-  if (!config_.threaded) {
-    sim_scheduler_->Post(shard, std::move(fn));
+  if (config_.threaded) {
+    PostThreaded(shard, std::move(fn));
     return;
   }
-  PostThreaded(shard, std::move(fn));
+  if (config_.shards == 1 || ShardContext::Current() == shard) {
+    ShardContext::Scope scope(shard);
+    fn();
+    return;
+  }
+  cross_posts_.fetch_add(1, std::memory_order_relaxed);
+  base_->ScheduleTimer(0, [shard, fn = std::move(fn)] {
+    ShardContext::Scope scope(shard);
+    fn();
+  });
 }
 
 bool ShardedExecutor::PostThreaded(int shard, std::function<void()> fn) {
@@ -144,7 +149,6 @@ void ShardedExecutor::PostSync(int shard, std::function<void()> fn) {
 }
 
 std::uint64_t ShardedExecutor::cross_posts() const {
-  if (!config_.threaded) return sim_scheduler_->cross_posts();
   return cross_posts_.load(std::memory_order_relaxed);
 }
 

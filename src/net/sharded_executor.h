@@ -13,10 +13,6 @@
 #include "net/executor.h"
 #include "net/shard_context.h"
 
-namespace hotman::sim {
-class ShardScheduler;
-}  // namespace hotman::sim
-
 namespace hotman::net {
 
 class Reactor;
@@ -45,7 +41,9 @@ struct ShardedExecutorConfig {
 /// keyed coordinator/replica work. Without an attached transport every
 /// shard gets its own reactor (standalone benches and tests). In
 /// non-threaded mode all shards share the base executor and hops become
-/// deterministic zero-delay events (sim::ShardScheduler).
+/// deterministic zero-delay events: the sim loop fires those in (virtual
+/// time, schedule order), so shard interleaving is a pure function of the
+/// seed and chaos sweeps replay bit-identically.
 class ShardedExecutor {
  public:
   /// Non-threaded (deterministic) runtime over any executor, or a
@@ -95,11 +93,12 @@ class ShardedExecutor {
 
   /// Runs `fn` in shard `shard`'s context. Same-shard calls run inline;
   /// cross-shard calls travel through the caller's SPSC lane (threaded) or
-  /// become a deterministic zero-delay event (non-threaded). Lock-free on
-  /// the hot path: a shard thread only falls back to the mutexed overflow
-  /// lane when its ring is full. A thread outside every shard, and a post
-  /// to shard 0 in transport mode (the transport's Reactor has no SPSC
-  /// lanes), always takes that lock.
+  /// become a deterministic zero-delay event (non-threaded; with one shard
+  /// every post is same-shard, so the schedule is the unsharded one).
+  /// Lock-free on the hot path: a shard thread only falls back to the
+  /// mutexed overflow lane when its ring is full. A thread outside every
+  /// shard, and a post to shard 0 in transport mode (the transport's
+  /// Reactor has no SPSC lanes), always takes that lock.
   void Post(int shard, std::function<void()> fn);
 
   /// Runs `fn` on `shard` and waits for it (setup, stats merges, teardown
@@ -128,7 +127,6 @@ class ShardedExecutor {
   TcpTransport* transport_ = nullptr; ///< threaded mode's shard 0, if any
   std::atomic<State> state_{State::kIdle};
 
-  std::unique_ptr<sim::ShardScheduler> sim_scheduler_;  ///< non-threaded
   /// Threaded: the reactors this executor launched (every shard, or 1..N-1
   /// in transport mode), halted by Shutdown() and freed on destruction.
   std::vector<std::unique_ptr<Reactor>> owned_;

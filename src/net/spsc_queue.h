@@ -11,7 +11,7 @@ namespace hotman::net {
 /// Bounded lock-free single-producer/single-consumer ring.
 ///
 /// One designated producer thread calls TryPush; one designated consumer
-/// thread calls Drain/Empty. No mutex anywhere: the producer publishes a
+/// thread calls TryPop/Drain. No mutex anywhere: the producer publishes a
 /// slot with a release store of its cursor and the consumer observes it
 /// with an acquire load, so the item written before the push is visible
 /// after the pop. This is the cross-shard mailbox primitive of the
@@ -68,12 +68,6 @@ class SpscQueue {
       ++n;
     }
     return n;
-  }
-
-  /// Either side (racy by nature; exact only on the consumer thread).
-  bool Empty() const {
-    return head_.load(std::memory_order_acquire) ==
-           tail_.load(std::memory_order_acquire);
   }
 
  private:

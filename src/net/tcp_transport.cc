@@ -210,10 +210,8 @@ void TcpTransport::HandleListenReady() {
       return;
     }
     SetNoDelay(fd);
-    auto conn = std::make_shared<Conn>(fd, config_.max_frame_bytes,
-                                       /*write_armed=*/false);
+    auto conn = std::make_shared<Conn>(fd, /*write_armed=*/false);
     conn->established = true;
-    conn->last_read_at = NowMicros();
     loop_.Watch(fd, EPOLLIN);
     conns_.emplace(fd, std::move(conn));
     CountConnection(&NetStats::connections_accepted, +1);
@@ -255,12 +253,11 @@ void TcpTransport::FinishConnect(Conn* conn) {
   }
   conn->connecting = false;
   conn->established = true;
-  conn->last_read_at = NowMicros();
   {
     // Bytes queued behind the connect could not move until now. EPOLLOUT
     // stays armed; HandleWritable flushes them and disarms.
     MutexLock lock(&conn->write_mu);
-    conn->last_write_progress = conn->last_read_at;
+    conn->last_write_progress = NowMicros();
   }
   if (auto pit = peers_.find(conn->name); pit != peers_.end()) {
     pit->second.backoff = 0;
@@ -313,7 +310,6 @@ void TcpTransport::HandleReadable(Conn* conn) {
     const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
     if (n > 0) {
       conn->reader.Append(std::string_view(buf, static_cast<std::size_t>(n)));
-      conn->last_read_at = NowMicros();
       if (n < static_cast<ssize_t>(sizeof(buf))) break;
       continue;
     }
@@ -488,13 +484,11 @@ std::shared_ptr<TcpTransport::Conn> TcpTransport::ConnectTo(
   }
   // EPOLLOUT is armed from the start: it reports the connect's outcome, and
   // frames sent meanwhile queue behind it.
-  auto conn = std::make_shared<Conn>(fd, config_.max_frame_bytes,
-                                     /*write_armed=*/true);
+  auto conn = std::make_shared<Conn>(fd, /*write_armed=*/true);
   conn->name = name;
   conn->connecting = (rc != 0);
   conn->established = (rc == 0);
   conn->connect_started = NowMicros();
-  conn->last_read_at = conn->connect_started;
   loop_.Watch(fd, EPOLLIN | EPOLLOUT);
   conns_.emplace(fd, conn);
   {
@@ -562,15 +556,7 @@ void TcpTransport::Housekeeping() {
       stalled = conn->outbuf_off < conn->outbuf.size() &&
                 now - conn->last_write_progress > config_.write_stall_timeout;
     }
-    if (stalled) {
-      CloseConn(conn, /*failed=*/false, "write stalled");
-      continue;
-    }
-    if (config_.read_idle_timeout > 0 && conn->established &&
-        now - conn->last_read_at > config_.read_idle_timeout) {
-      CloseConn(conn, /*failed=*/false, "read idle");
-      continue;
-    }
+    if (stalled) CloseConn(conn, /*failed=*/false, "write stalled");
   }
   ScheduleTimer(kHousekeepingPeriod, [this] { Housekeeping(); });
 }

@@ -43,9 +43,6 @@ struct TcpTransportConfig {
   /// Close a connection whose outbound buffer has made no progress for
   /// this long (peer stopped reading).
   Micros write_stall_timeout = 5 * kMicrosPerSecond;
-  /// Close a connection with no inbound bytes for this long; 0 disables
-  /// (idle cluster links are legitimate between gossip rounds).
-  Micros read_idle_timeout = 0;
   Micros reconnect_backoff_min = 50 * kMicrosPerMilli;
   Micros reconnect_backoff_max = 2 * kMicrosPerSecond;
 
@@ -54,7 +51,6 @@ struct TcpTransportConfig {
   /// the replication layer's quorums own reliability, so shedding beats
   /// unbounded buffering).
   std::size_t max_outbound_queue_bytes = 4u * 1024 * 1024;
-  std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
 };
 
 /// Real asynchronous transport: its sockets run on one net::Reactor (an
@@ -142,8 +138,7 @@ class TcpTransport : public Transport {
   /// state are loop-thread-only. The write side is shared: any thread that
   /// holds the connection writes under `write_mu`, a leaf lock.
   struct Conn {
-    Conn(int socket_fd, std::size_t max_frame_bytes, bool armed)
-        : fd(socket_fd), reader(max_frame_bytes), write_armed(armed) {}
+    Conn(int socket_fd, bool armed) : fd(socket_fd), write_armed(armed) {}
 
     const int fd;
     std::string name;          ///< peer endpoint name; learned from the
@@ -152,7 +147,6 @@ class TcpTransport : public Transport {
     bool established = false;
     FrameReader reader;
     Micros connect_started = 0;
-    Micros last_read_at = 0;
 
     Mutex write_mu;
     /// Set, with the fd closed, by CloseConn/Stop: a writer that sees it

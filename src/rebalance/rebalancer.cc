@@ -11,6 +11,14 @@
 
 namespace hotman::rebalance {
 
+namespace {
+
+/// Byte budget across all in-flight batches of one node's outgoing
+/// transfers; a transfer stalls (counted) rather than exceed it.
+constexpr std::size_t kMaxInflightBytes = 256 * 1024;
+
+}  // namespace
+
 void RebalanceStats::MergeFrom(const RebalanceStats& other) {
   for (const RebalanceCounter& c : kRebalanceCounters) {
     this->*c.field += other.*c.field;
@@ -185,7 +193,7 @@ void Rebalancer::HandleRangeAck(const std::string& from,
   MaybeSendNext(id);
 
   // A freed byte budget may unblock transfers stalled on it.
-  if (global_inflight_bytes_ < config_.max_inflight_bytes) {
+  if (global_inflight_bytes_ < kMaxInflightBytes) {
     std::vector<std::string> ids;
     for (const auto& [other_id, other] : transfers_) {
       if (!other->done && !other->batch_in_flight && other_id != id) {
@@ -220,7 +228,7 @@ void Rebalancer::MaybeSendNext(const std::string& id) {
     }
     return;
   }
-  if (global_inflight_bytes_ >= config_.max_inflight_bytes) {
+  if (global_inflight_bytes_ >= kMaxInflightBytes) {
     ++stats_.throttle_stalls;  // retried when an ack frees the budget
     return;
   }
@@ -285,7 +293,7 @@ void Rebalancer::FinishTransfer(const std::string& id, bool completed) {
 
 void Rebalancer::EnsureRetryTicker() {
   if (retry_ticker_ != 0 || transfers_.empty() || !running_) return;
-  retry_ticker_ = env_.executor->ScheduleTimer(config_.retry_interval,
+  retry_ticker_ = env_.executor->ScheduleTimer(kTransferRetryInterval,
                                                [this]() { OnRetryTick(); });
 }
 
@@ -307,7 +315,7 @@ void Rebalancer::OnRetryTick() {
       continue;
     }
     if (!env_.available()) continue;
-    if (now - t.last_progress >= config_.retry_interval) {
+    if (now - t.last_progress >= kTransferRetryInterval) {
       // No progress for a full interval: the push or its ack was lost, or
       // the target was down. Drop the in-flight claim and re-probe; the
       // digest ack rewinds or fast-forwards the cursor as needed.

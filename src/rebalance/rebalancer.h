@@ -34,24 +34,12 @@ struct RebalanceConfig {
   /// Records per range_push batch (ack-paced: one batch in flight per
   /// transfer).
   int batch_records = 32;
-
-  /// Byte budget across all in-flight batches of this node's outgoing
-  /// transfers; a transfer stalls (counted) rather than exceed it.
-  std::size_t max_inflight_bytes = 256 * 1024;
-
-  /// Loss recovery: a transfer with no progress for this long re-sends its
-  /// range_digest (the target's watermark makes that idempotent).
-  Micros retry_interval = kMicrosPerSecond;
-
-  /// H2O-style autonomic trigger: when on, a node whose record count
-  /// exceeds `imbalance_threshold` times the cluster mean (as gossiped via
-  /// the load state key) sheds ring weight and streams the released arcs
-  /// out. Off by default: membership changes still rebalance explicitly.
-  bool autonomic = false;
-  double imbalance_threshold = 2.0;
-  Micros autonomic_interval = 5 * kMicrosPerSecond;
-  int autonomic_min_vnodes = 8;
 };
+
+/// Loss recovery: a transfer with no progress for this long re-sends its
+/// range_digest (the target's watermark makes that idempotent). The host's
+/// post-transfer ownership sweep waits two of these.
+inline constexpr Micros kTransferRetryInterval = kMicrosPerSecond;
 
 /// Counters exported as rebalance.* in /stats.
 struct RebalanceStats {
@@ -67,7 +55,6 @@ struct RebalanceStats {
   std::uint64_t throttle_stalls = 0;     ///< sends deferred by pacing/budget
   std::uint64_t resumes = 0;             ///< digest acks that fast-forwarded
   std::uint64_t retries = 0;             ///< digests re-sent on stall
-  std::uint64_t autonomic_reweights = 0;
 
   /// Field-wise sum, over kRebalanceCounters.
   void MergeFrom(const RebalanceStats& other);
@@ -95,7 +82,6 @@ inline constexpr RebalanceCounter kRebalanceCounters[] = {
     {"rebalance.throttle_stalls", &RebalanceStats::throttle_stalls},
     {"rebalance.resumes", &RebalanceStats::resumes},
     {"rebalance.retries", &RebalanceStats::retries},
-    {"rebalance.autonomic_reweights", &RebalanceStats::autonomic_reweights},
 };
 static_assert(sizeof(RebalanceStats) ==
                   std::size(kRebalanceCounters) * sizeof(std::uint64_t),
@@ -193,11 +179,7 @@ class Rebalancer {
       HOTMAN_SHARD_AFFINE;
 
   std::size_t active_transfers() const;
-  bool Idle() const { return active_transfers() == 0; }
   RebalanceStats stats() const { return stats_; }
-  /// Counts an autonomic reweight decided by the host (the trigger logic
-  /// lives with gossip state, in the host).
-  void CountAutonomicReweight() { ++stats_.autonomic_reweights; }
 
   /// Human/ctl-facing status: active transfer ids with progress.
   std::string StatusJson() const;

@@ -31,11 +31,6 @@ void FailureInjector::RegisterServer(DocStoreServer* server) {
   }
 }
 
-void FailureInjector::UnregisterServer(DocStoreServer* server) {
-  servers_.erase(std::remove(servers_.begin(), servers_.end(), server),
-                 servers_.end());
-}
-
 bool FailureInjector::InjectRolled(DocStoreServer* server, bool net, bool disk,
                                    bool block, bool down, Micros short_duration) {
   if (server->fault() != FaultMode::kNone) return false;  // already failed

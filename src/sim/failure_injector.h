@@ -71,7 +71,6 @@ class FailureInjector {
 
   /// Adds `server` to the pool MaybeInjectAnywhere() draws victims from.
   void RegisterServer(docstore::DocStoreServer* server);
-  void UnregisterServer(docstore::DocStoreServer* server);
 
   /// Per-client-operation injection (Table 2's probabilities are per
   /// operation on the whole test system): rolls the dice once and, on a

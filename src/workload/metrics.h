@@ -20,7 +20,6 @@ class LatencyRecorder {
   Micros Min() const;
   Micros Max() const;
   double MeanMicros() const;
-  double MeanMillis() const { return MeanMicros() / 1000.0; }
 
   /// p in [0, 100].
   Micros Percentile(double p) const;

@@ -100,8 +100,7 @@ TEST(FastReadTest, UnsettledWriteStaysDirtyUntilQuiescence) {
 
   // ...and once the quiescence window lapses with nothing in flight the
   // entry ages out.
-  cluster.RunFor(cluster.config().fast_read_quiescence +
-                 2 * kMicrosPerSecond);
+  cluster.RunFor(kFastReadQuiescence + 2 * kMicrosPerSecond);
   EXPECT_TRUE(coordinator->KeyIsClean(key));
   EXPECT_EQ(coordinator->DirtyKeyCount(), 0u);
 }
@@ -141,7 +140,7 @@ TEST(FastReadTest, ConcurrentWriteForcesQuorumRead) {
   StorageNode* coordinator = cluster.node("db1:19870");
   ASSERT_NE(coordinator, nullptr);
   ASSERT_TRUE(cluster.PutSync("k", ToBytes("v0")).ok());
-  cluster.RunFor(cluster.config().fast_read_quiescence + kMicrosPerSecond);
+  cluster.RunFor(kFastReadQuiescence + kMicrosPerSecond);
 
   const auto before = cluster.AggregateStats();
   bool put_done = false, get_done = false;
@@ -193,7 +192,7 @@ TEST(FastReadTest, SuspectedPrimaryFallsBackAtIssueTime) {
   bool put_ok = false;
   coordinator->CoordinatePut(key, ToBytes("v"),
                              [&put_ok](const Status& s) { put_ok = s.ok(); });
-  cluster.RunFor(cluster.config().fast_read_quiescence + kMicrosPerSecond);
+  cluster.RunFor(kFastReadQuiescence + kMicrosPerSecond);
   ASSERT_TRUE(put_ok);
 
   // Silence the primary holder long enough for suspicion, not death.
@@ -222,7 +221,7 @@ TEST(FastReadTest, FastReadsStayOffInSloppyMode) {
   Cluster cluster(std::move(config), 11);
   ASSERT_TRUE(cluster.Start().ok());
   ASSERT_TRUE(cluster.PutSync("k", ToBytes("v")).ok());
-  cluster.RunFor(cluster.config().fast_read_quiescence + kMicrosPerSecond);
+  cluster.RunFor(kFastReadQuiescence + kMicrosPerSecond);
   auto value = cluster.GetSync("k");
   ASSERT_TRUE(value.ok());
   const auto stats = cluster.AggregateStats();

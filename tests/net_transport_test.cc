@@ -2,8 +2,8 @@
 // lazy connect + reconnect-with-backoff, self-delivery, backpressure
 // shedding, timers, hostile-peer handling, and frames written directly by
 // the sending thread (concurrent senders, a busy loop, a racing Stop, the
-// write-stall clock). Everything binds ephemeral ports, so tests are
-// parallel-safe.
+// write-stall clock and close). Everything binds ephemeral ports, so tests
+// are parallel-safe.
 
 #include "net/tcp_transport.h"
 
@@ -50,6 +50,12 @@ std::uint64_t CounterValue(const TcpTransport& transport, const char* name) {
   return registry.counter(name)->value();
 }
 
+std::int64_t GaugeValue(const TcpTransport& transport, const char* name) {
+  metrics::Registry registry;
+  transport.ExportStats(&registry);
+  return registry.gauge(name)->value();
+}
+
 /// A mailbox endpoint handler: collects messages, thread-safe.
 class Mailbox {
  public:
@@ -83,6 +89,40 @@ Message Make(const std::string& from, const std::string& to,
   msg.type = type;
   msg.body.Append("seq", bson::Value(static_cast<std::int64_t>(seq)));
   return msg;
+}
+
+/// Listens on an ephemeral loopback port whose accepted sockets inherit a
+/// 64 KiB receive buffer, so bytes sent to a peer that does not read back
+/// up in the sender soon. Returns the listening fd (-1 on failure) and sets
+/// `*port`.
+int ListenWithSmallBuffer(std::uint16_t* port) {
+  const int lfd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (lfd < 0) return -1;
+  const int small_buffer = 64 * 1024;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  if (::setsockopt(lfd, SOL_SOCKET, SO_RCVBUF, &small_buffer,
+                   sizeof(small_buffer)) != 0 ||
+      ::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      ::listen(lfd, 8) != 0 ||
+      ::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+    ::close(lfd);
+    return -1;
+  }
+  *port = ntohs(addr.sin_port);
+  return lfd;
+}
+
+/// Sends frames `first`..`last` to "sink", each padded with 64 KiB.
+void SendPaddedBurst(TcpTransport* transport, int first, int last) {
+  const std::string pad(64 * 1024, 'x');
+  for (int i = first; i <= last; ++i) {
+    Message msg = Make("cli", "sink", "bulk", i);
+    msg.body.Append("pad", bson::Value(pad));
+    transport->Send(std::move(msg));
+  }
 }
 
 TEST(TcpTransportTest, RequestReplyAcrossTwoTransports) {
@@ -609,23 +649,13 @@ TEST(TcpTransportTest, SendsRacingStopAreSentOrCountedNeverLost) {
 // connection's last progress: a connection idle for longer than
 // write_stall_timeout survives a burst its peer does not read for a while.
 TEST(TcpTransportTest, StallClockStartsWhenBytesAreFirstLeftWaiting) {
-  const int lfd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  std::uint16_t port = 0;
+  const int lfd = ListenWithSmallBuffer(&port);
   ASSERT_GE(lfd, 0);
-  const int small_buffer = 64 * 1024;
-  ASSERT_EQ(::setsockopt(lfd, SOL_SOCKET, SO_RCVBUF, &small_buffer,
-                         sizeof(small_buffer)), 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  ASSERT_EQ(::listen(lfd, 8), 0);
-  sockaddr_in bound{};
-  socklen_t blen = sizeof(bound);
-  ASSERT_EQ(::getsockname(lfd, reinterpret_cast<sockaddr*>(&bound), &blen), 0);
 
   TcpTransportConfig config;
   config.listen_port = -1;
-  config.peers["sink"] = TcpPeer{"127.0.0.1", ntohs(bound.sin_port)};
+  config.peers["sink"] = TcpPeer{"127.0.0.1", port};
   config.write_stall_timeout = kMicrosPerSecond;
   config.max_outbound_queue_bytes = 64u * 1024 * 1024;  // shed none
   TcpTransport transport(config);
@@ -661,12 +691,7 @@ TEST(TcpTransportTest, StallClockStartsWhenBytesAreFirstLeftWaiting) {
 
   std::this_thread::sleep_for(1500ms);  // idle past write_stall_timeout
   constexpr int kBurst = 128;           // 8 MiB: far past the socket buffers
-  const std::string pad(64 * 1024, 'x');
-  for (int i = 1; i <= kBurst; ++i) {
-    Message msg = Make("cli", "sink", "bulk", i);
-    msg.body.Append("pad", bson::Value(pad));
-    transport.Send(std::move(msg));
-  }
+  SendPaddedBurst(&transport, 1, kBurst);
   std::this_thread::sleep_for(300ms);  // longer than a housekeeping period
   drain(1 + kBurst, 10000);
 
@@ -674,6 +699,40 @@ TEST(TcpTransportTest, StallClockStartsWhenBytesAreFirstLeftWaiting) {
   for (int i = 0; i <= kBurst; ++i) EXPECT_EQ(seqs[static_cast<std::size_t>(i)], i);
   EXPECT_EQ(CounterValue(transport, "net.connections_closed"), 0u);
   EXPECT_EQ(CounterValue(transport, "net.frames_dropped"), 0u);
+  transport.Stop();
+  ::close(fd);
+  ::close(lfd);
+}
+
+// The other side of the stall clock: a peer that accepts but never reads is
+// closed once the bytes queued for it have made no progress for
+// write_stall_timeout.
+TEST(TcpTransportTest, StalledPeerIsClosedAfterWriteStallTimeout) {
+  std::uint16_t port = 0;
+  const int lfd = ListenWithSmallBuffer(&port);
+  ASSERT_GE(lfd, 0);
+
+  TcpTransportConfig config;
+  config.listen_port = -1;
+  config.peers["sink"] = TcpPeer{"127.0.0.1", port};
+  config.write_stall_timeout = 300 * kMicrosPerMilli;
+  config.max_outbound_queue_bytes = 64u * 1024 * 1024;  // shed none
+  TcpTransport transport(config);
+  ASSERT_TRUE(transport.Start().ok());
+
+  transport.Send(Make("cli", "sink", "hello", 0));
+  const int fd = ::accept(lfd, nullptr, nullptr);  // never read from
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(WaitUntil(
+      [&] { return GaugeValue(transport, "net.connections_open") == 1; }));
+  SendPaddedBurst(&transport, 1, 128);  // 8 MiB: far past the socket buffers
+
+  EXPECT_TRUE(WaitUntil(
+      [&] { return CounterValue(transport, "net.connections_closed") >= 1; }));
+  EXPECT_TRUE(WaitUntil(
+      [&] { return GaugeValue(transport, "net.connections_open") == 0; }));
+  EXPECT_EQ(CounterValue(transport, "net.connections_closed"), 1u);
+  EXPECT_EQ(CounterValue(transport, "net.dropped_backpressure"), 0u);
   transport.Stop();
   ::close(fd);
   ::close(lfd);

@@ -45,7 +45,6 @@ const std::vector<std::string> kRebalanceCounterNames = {
     "rebalance.bytes_streamed", "rebalance.records_received",
     "rebalance.records_skipped", "rebalance.throttle_stalls",
     "rebalance.resumes", "rebalance.retries",
-    "rebalance.autonomic_reweights",
 };
 
 // The net.* counters, the same for the simulated and the TCP transport.
