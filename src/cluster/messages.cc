@@ -1,65 +1,27 @@
 #include "cluster/messages.h"
 
+#include "bson/field_reader.h"
+#include "core/record.h"
+#include "hashring/ring.h"
+
 namespace hotman::cluster {
 
 namespace {
 
 using bson::Document;
+using bson::Type;
 using bson::Value;
-
-Result<std::uint64_t> GetU64(const Document& doc, const char* name) {
-  const Value* v = doc.Get(name);
-  if (v == nullptr || !v->is_int64()) {
-    return Status::Corruption(std::string("missing int64 field: ") + name);
-  }
-  return static_cast<std::uint64_t>(v->as_int64());
-}
-
-Result<std::string> GetStr(const Document& doc, const char* name) {
-  const Value* v = doc.Get(name);
-  if (v == nullptr || !v->is_string()) {
-    return Status::Corruption(std::string("missing string field: ") + name);
-  }
-  return v->as_string();
-}
-
-Result<bool> GetBool(const Document& doc, const char* name) {
-  const Value* v = doc.Get(name);
-  if (v == nullptr || !v->is_bool()) {
-    return Status::Corruption(std::string("missing bool field: ") + name);
-  }
-  return v->as_bool();
-}
-
-Result<Document> GetDoc(const Document& doc, const char* name) {
-  const Value* v = doc.Get(name);
-  if (v == nullptr || !v->is_document()) {
-    return Status::Corruption(std::string("missing document field: ") + name);
-  }
-  return v->as_document();
-}
 
 std::int64_t AsI64(std::uint64_t v) { return static_cast<std::int64_t>(v); }
 
-/// Optional int64 field: absent (older encoder / fire-and-forget path)
-/// decodes as 0 rather than an error.
-Micros GetMicrosOr0(const Document& doc, const char* name) {
-  const Value* v = doc.Get(name);
-  if (v == nullptr || !v->is_number()) return 0;
-  return v->NumberAsInt64();
-}
-
-/// Optional bool field (newer wire extensions): absent decodes as false.
-bool GetBoolOrFalse(const Document& doc, const char* name) {
-  const Value* v = doc.Get(name);
-  return v != nullptr && v->is_bool() && v->as_bool();
-}
-
-/// Optional string field: absent decodes as empty.
-std::string GetStrOrEmpty(const Document& doc, const char* name) {
-  const Value* v = doc.Get(name);
-  if (v == nullptr || !v->is_string()) return std::string();
-  return v->as_string();
+/// A record from a peer. The message is malformed unless
+/// core::ValidateRecord accepts it, so nothing past a decoder meets a record
+/// the record accessors would abort on.
+Document RecordField(bson::FieldReader& r, const char* name) {
+  const Document& record = r.Doc(name);
+  const Status valid = core::ValidateRecord(record);
+  if (!valid.ok()) r.Reject(name, valid.message());
+  return record;
 }
 
 }  // namespace
@@ -72,13 +34,11 @@ bson::Document EncodePutReplica(const PutReplicaMsg& msg) {
 }
 
 Result<PutReplicaMsg> DecodePutReplica(const bson::Document& doc) {
-  auto req = GetU64(doc, "req");
-  if (!req.ok()) return req.status();
-  auto record = GetDoc(doc, "doc");
-  if (!record.ok()) return record.status();
+  bson::FieldReader r(doc, kMsgPutReplica);
   PutReplicaMsg out;
-  out.req = *req;
-  out.record = std::move(*record);
+  out.req = r.Int64("req");
+  out.record = RecordField(r, "doc");
+  if (!r.ok()) return r.status();
   return out;
 }
 
@@ -93,18 +53,14 @@ bson::Document EncodePutAck(const PutAckMsg& msg) {
 }
 
 Result<PutAckMsg> DecodePutAck(const bson::Document& doc) {
-  auto req = GetU64(doc, "req");
-  if (!req.ok()) return req.status();
-  auto ok = GetBool(doc, "ok");
-  if (!ok.ok()) return ok.status();
-  auto err = GetStr(doc, "err");
-  if (!err.ok()) return err.status();
+  bson::FieldReader r(doc, kMsgPutAck);
   PutAckMsg out;
-  out.req = *req;
-  out.ok = *ok;
-  out.error = std::move(*err);
-  out.queue_micros = GetMicrosOr0(doc, "q_us");
-  out.service_micros = GetMicrosOr0(doc, "s_us");
+  out.req = r.Int64("req");
+  out.ok = r.Bool("ok");
+  out.error = r.String("err");
+  out.queue_micros = r.NumberOr("q_us", 0);
+  out.service_micros = r.NumberOr("s_us", 0);
+  if (!r.ok()) return r.status();
   return out;
 }
 
@@ -118,14 +74,12 @@ bson::Document EncodeGetReplica(const GetReplicaMsg& msg) {
 }
 
 Result<GetReplicaMsg> DecodeGetReplica(const bson::Document& doc) {
-  auto req = GetU64(doc, "req");
-  if (!req.ok()) return req.status();
-  auto key = GetStr(doc, "key");
-  if (!key.ok()) return key.status();
+  bson::FieldReader r(doc, kMsgGetReplica);
   GetReplicaMsg out;
-  out.req = *req;
-  out.key = std::move(*key);
-  out.digest_only = GetBoolOrFalse(doc, "dig");
+  out.req = r.Int64("req");
+  out.key = r.String("key");
+  out.digest_only = r.BoolOr("dig", false);
+  if (!r.ok()) return r.status();
   return out;
 }
 
@@ -147,30 +101,22 @@ bson::Document EncodeGetAck(const GetAckMsg& msg) {
 }
 
 Result<GetAckMsg> DecodeGetAck(const bson::Document& doc) {
-  auto req = GetU64(doc, "req");
-  if (!req.ok()) return req.status();
-  auto ok = GetBool(doc, "ok");
-  if (!ok.ok()) return ok.status();
-  auto found = GetBool(doc, "found");
-  if (!found.ok()) return found.status();
-  auto err = GetStr(doc, "err");
-  if (!err.ok()) return err.status();
+  bson::FieldReader r(doc, kMsgGetAck);
   GetAckMsg out;
-  out.req = *req;
-  out.ok = *ok;
-  out.found = *found;
-  out.error = std::move(*err);
-  out.queue_micros = GetMicrosOr0(doc, "q_us");
-  out.service_micros = GetMicrosOr0(doc, "s_us");
-  out.digest = GetBoolOrFalse(doc, "dig");
+  out.req = r.Int64("req");
+  out.ok = r.Bool("ok");
+  out.found = r.Bool("found");
+  out.error = r.String("err");
+  out.queue_micros = r.NumberOr("q_us", 0);
+  out.service_micros = r.NumberOr("s_us", 0);
+  out.digest = r.BoolOr("dig", false);
   if (out.digest) {
-    out.digest_ts = GetMicrosOr0(doc, "dts");
-    out.digest_origin = GetStrOrEmpty(doc, "dor");
+    out.digest_ts = r.NumberOr("dts", 0);
+    out.digest_origin = r.StringOr("dor", "");
   } else if (out.found) {
-    auto record = GetDoc(doc, "doc");
-    if (!record.ok()) return record.status();
-    out.record = std::move(*record);
+    out.record = RecordField(r, "doc");
   }
+  if (!r.ok()) return r.status();
   return out;
 }
 
@@ -183,16 +129,12 @@ bson::Document EncodeHintStore(const HintStoreMsg& msg) {
 }
 
 Result<HintStoreMsg> DecodeHintStore(const bson::Document& doc) {
-  auto req = GetU64(doc, "req");
-  if (!req.ok()) return req.status();
-  auto target = GetStr(doc, "target");
-  if (!target.ok()) return target.status();
-  auto record = GetDoc(doc, "doc");
-  if (!record.ok()) return record.status();
+  bson::FieldReader r(doc, kMsgHintStore);
   HintStoreMsg out;
-  out.req = *req;
-  out.target = std::move(*target);
-  out.record = std::move(*record);
+  out.req = r.Int64("req");
+  out.target = r.String("target");
+  out.record = RecordField(r, "doc");
+  if (!r.ok()) return r.status();
   return out;
 }
 
@@ -205,11 +147,11 @@ bson::Document EncodeHandoffDeliver(std::uint64_t hint_id, const bson::Document&
 
 Result<std::pair<std::uint64_t, bson::Document>> DecodeHandoffDeliver(
     const bson::Document& doc) {
-  auto hint = GetU64(doc, "hint");
-  if (!hint.ok()) return hint.status();
-  auto record = GetDoc(doc, "doc");
-  if (!record.ok()) return record.status();
-  return std::make_pair(*hint, std::move(*record));
+  bson::FieldReader r(doc, kMsgHandoffDeliver);
+  const std::uint64_t hint = r.Int64("hint");
+  Document record = RecordField(r, "doc");
+  if (!r.ok()) return r.status();
+  return std::make_pair(hint, std::move(record));
 }
 
 bson::Document EncodeHandoffAck(const HandoffAckMsg& msg) {
@@ -220,13 +162,11 @@ bson::Document EncodeHandoffAck(const HandoffAckMsg& msg) {
 }
 
 Result<HandoffAckMsg> DecodeHandoffAck(const bson::Document& doc) {
-  auto hint = GetU64(doc, "hint");
-  if (!hint.ok()) return hint.status();
-  auto ok = GetBool(doc, "ok");
-  if (!ok.ok()) return ok.status();
+  bson::FieldReader r(doc, kMsgHandoffAck);
   HandoffAckMsg out;
-  out.hint_id = *hint;
-  out.ok = *ok;
+  out.hint_id = r.Int64("hint");
+  out.ok = r.Bool("ok");
+  if (!r.ok()) return r.status();
   return out;
 }
 
@@ -238,14 +178,15 @@ bson::Document EncodeMembership(const MembershipMsg& msg) {
 }
 
 Result<MembershipMsg> DecodeMembership(const bson::Document& doc) {
-  auto node = GetStr(doc, "node");
-  if (!node.ok()) return node.status();
+  bson::FieldReader r(doc, "membership");
   MembershipMsg out;
-  out.node = std::move(*node);
-  const Value* vnodes = doc.Get("vnodes");
-  if (vnodes != nullptr && vnodes->is_number()) {
-    out.vnodes = static_cast<int>(vnodes->NumberAsInt64());
+  out.node = r.String("node");
+  const std::int64_t vnodes = r.NumberOr("vnodes", 0);
+  if (vnodes < 0 || vnodes > hashring::kMaxVnodes) {
+    r.Reject("vnodes", "is out of [0, kMaxVnodes]");
   }
+  if (!r.ok()) return r.status();
+  out.vnodes = static_cast<int>(vnodes);
   return out;
 }
 
@@ -265,24 +206,14 @@ bson::Document EncodeAeDigest(const AeDigestMsg& msg) {
 }
 
 Result<AeDigestMsg> DecodeAeDigest(const bson::Document& doc) {
-  const Value* entries = doc.Get("entries");
-  if (entries == nullptr || !entries->is_array()) {
-    return Status::Corruption("ae_digest missing entries");
-  }
+  bson::FieldReader r(doc, kMsgAeDigest);
   AeDigestMsg out;
-  for (const Value& ev : entries->as_array()) {
-    if (!ev.is_document()) return Status::Corruption("malformed digest entry");
-    const Document& item = ev.as_document();
-    const Value* k = item.Get("k");
-    const Value* ts = item.Get("ts");
-    const Value* o = item.Get("o");
-    if (k == nullptr || !k->is_string() || ts == nullptr || !ts->is_int64() ||
-        o == nullptr || !o->is_string()) {
-      return Status::Corruption("malformed digest entry");
-    }
-    out.entries.push_back(AeDigestEntry{k->as_string(), ts->as_int64(),
-                                        o->as_string()});
+  for (const Value& entry : r.Array("entries", Type::kDocument)) {
+    bson::FieldReader e(entry.as_document(), "ae_digest entry");
+    out.entries.push_back(AeDigestEntry{e.String("k"), e.Int64("ts"), e.String("o")});
+    if (!e.ok()) return e.status();
   }
+  if (!r.ok()) return r.status();
   return out;
 }
 
@@ -296,15 +227,12 @@ bson::Document EncodeAeRequest(const AeRequestMsg& msg) {
 }
 
 Result<AeRequestMsg> DecodeAeRequest(const bson::Document& doc) {
-  const Value* keys = doc.Get("keys");
-  if (keys == nullptr || !keys->is_array()) {
-    return Status::Corruption("ae_request missing keys");
-  }
+  bson::FieldReader r(doc, kMsgAeRequest);
   AeRequestMsg out;
-  for (const Value& kv : keys->as_array()) {
-    if (!kv.is_string()) return Status::Corruption("malformed ae_request key");
-    out.keys.push_back(kv.as_string());
+  for (const Value& key : r.Array("keys", Type::kString)) {
+    out.keys.push_back(key.as_string());
   }
+  if (!r.ok()) return r.status();
   return out;
 }
 

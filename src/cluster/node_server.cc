@@ -1,10 +1,13 @@
 #include "cluster/node_server.h"
 
+#include <cmath>
+#include <string>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "core/record.h"
+#include "hashring/ring.h"
 
 namespace hotman::cluster {
 
@@ -130,16 +133,23 @@ void NodeServer::HandleClientJoin(const net::Message& msg) {
   }
   net::ClientAckMsg ack;
   ack.req = join->req;
-  if (join->node.empty() || join->capacity <= 0.0) {
-    ack.error = "join needs a node endpoint and capacity > 0";
+  NodeSpec spec;
+  spec.address = join->node;
+  spec.capacity = join->capacity;
+  const std::int64_t base = join->vnodes > 0 ? join->vnodes : spec.vnodes;
+  // EffectiveVnodes' count, computed before it is narrowed to int.
+  const double weight = std::round(static_cast<double>(base) * join->capacity);
+  if (spec.address.empty() ||
+      !(join->capacity > 0.0 && std::isfinite(join->capacity))) {
+    ack.error = "join needs a node endpoint and a finite capacity > 0";
+  } else if (base > hashring::kMaxVnodes || weight > hashring::kMaxVnodes) {
+    ack.error = "join weight is above " + std::to_string(hashring::kMaxVnodes) +
+                " vnodes";
   } else {
     // The joining hotmand must already be up and listening on `node`;
     // announcing it here pulls it into every member's ring and the
     // rebalancer streams it its share of the data.
-    NodeSpec spec;
-    spec.address = join->node;
-    if (join->vnodes > 0) spec.vnodes = static_cast<int>(join->vnodes);
-    spec.capacity = join->capacity;
+    spec.vnodes = static_cast<int>(base);
     node_->AnnounceAddition(spec.address, EffectiveVnodes(spec));
     ack.ok = true;
   }

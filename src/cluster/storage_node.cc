@@ -1,8 +1,10 @@
 #include "cluster/storage_node.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <optional>
+#include <system_error>
 
 #include "bson/codec.h"
 #include "common/logging.h"
@@ -140,7 +142,13 @@ void StorageNode::Start() {
         if (key != gossip::kStateVnodes || removed_nodes_.count(endpoint) != 0) {
           return;
         }
-        const int vnodes = std::max(1, std::atoi(value.c_str()));
+        int vnodes = 0;
+        const char* end = value.data() + value.size();
+        const auto parsed = std::from_chars(value.data(), end, vnodes);
+        if (parsed.ec != std::errc() || parsed.ptr != end || vnodes < 1 ||
+            vnodes > hashring::kMaxVnodes) {
+          return;  // not a ring weight this node would accept
+        }
         if (!ring_.HasNode(endpoint)) {
           // Learned of a new member through gossip.
           OnNodeAdded(endpoint, vnodes);
@@ -580,6 +588,13 @@ void StorageNode::StartPut(ShardState& ss, bson::Document record,
   // client operation may trip one failure at a random node.
   if (injector_ != nullptr) injector_->MaybeInjectAnywhere();
   const std::string key = core::RecordSelfKey(record);
+  if (key.empty()) {
+    // No replica would take it: ValidateRecord refuses an empty key, and a
+    // peer's decoder drops the frame rather than nack it.
+    ++ss.stats.puts_failed;
+    cb(Status::InvalidArgument("empty key"));
+    return;
+  }
   ss.heat.Record(key, transport_->NowMicros());
   std::vector<std::string> targets = PreferenceNodes(ss, key);
   if (targets.empty()) {
@@ -1510,7 +1525,8 @@ void StorageNode::ScheduleOwnershipSweep(bool push_before_purge, Micros delay) {
 }
 
 void StorageNode::ApplyReweight(const std::string& node, int vnodes) {
-  if (vnodes < 1 || !ring_.HasNode(node)) return;
+  // Checked before the member leaves the ring: AddNode would refuse it.
+  if (vnodes < 1 || vnodes > hashring::kMaxVnodes || !ring_.HasNode(node)) return;
   if (ring_.VnodeCount(node) == vnodes) return;
   const hashring::Ring before = ring_;
   Status removed = ring_.RemoveNode(node);

@@ -71,9 +71,10 @@ class ConnectionLease {
 };
 
 /// Connection pool per §5.1: "create a certain amount of connections in
-/// memory in advance ... implemented as a singleton" — one pool instance
-/// exists per storage node process (the cluster layer owns exactly one per
-/// node; a process-wide default is also provided for standalone use).
+/// memory in advance ... implemented as a singleton". Here it is a plain
+/// class over one DocStoreServer; no singleton or process-wide default
+/// exists, and only tests create one (the cluster layer reaches its store
+/// directly).
 class ConnectionPool {
  public:
   /// The pool pre-creates `config.pool_min_size` connections.

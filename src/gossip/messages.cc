@@ -1,11 +1,14 @@
 #include "gossip/messages.h"
 
+#include "bson/field_reader.h"
+
 namespace hotman::gossip {
 
 namespace {
 
 using bson::Array;
 using bson::Document;
+using bson::Type;
 using bson::Value;
 
 Value EncodeDigest(const GossipDigest& digest) {
@@ -16,21 +19,13 @@ Value EncodeDigest(const GossipDigest& digest) {
   return Value(std::move(doc));
 }
 
-Result<GossipDigest> DecodeDigest(const Value& v) {
-  if (!v.is_document()) return Status::Corruption("digest must be a document");
-  const Document& doc = v.as_document();
-  const Value* ep = doc.Get("ep");
-  const Value* gen = doc.Get("gen");
-  const Value* maxv = doc.Get("maxv");
-  if (ep == nullptr || !ep->is_string() || gen == nullptr || !gen->is_number() ||
-      maxv == nullptr || !maxv->is_number()) {
-    return Status::Corruption("malformed gossip digest");
+Status DecodeDigests(const Array& items, std::vector<GossipDigest>* out) {
+  for (const Value& item : items) {
+    bson::FieldReader r(item.as_document(), "gossip digest");
+    out->push_back(GossipDigest{r.String("ep"), r.Number("gen"), r.Number("maxv")});
+    if (!r.ok()) return r.status();
   }
-  GossipDigest out;
-  out.endpoint = ep->as_string();
-  out.generation = gen->NumberAsInt64();
-  out.max_version = maxv->NumberAsInt64();
-  return out;
+  return Status::OK();
 }
 
 Value EncodeStateUpdate(const EndpointStateUpdate& update) {
@@ -49,33 +44,20 @@ Value EncodeStateUpdate(const EndpointStateUpdate& update) {
   return Value(std::move(doc));
 }
 
-Result<EndpointStateUpdate> DecodeStateUpdate(const Value& v) {
-  if (!v.is_document()) return Status::Corruption("state update must be a document");
-  const Document& doc = v.as_document();
-  const Value* ep = doc.Get("ep");
-  const Value* gen = doc.Get("gen");
-  const Value* entries = doc.Get("entries");
-  if (ep == nullptr || !ep->is_string() || gen == nullptr || !gen->is_number() ||
-      entries == nullptr || !entries->is_array()) {
-    return Status::Corruption("malformed state update");
-  }
-  EndpointStateUpdate out;
-  out.endpoint = ep->as_string();
-  out.generation = gen->NumberAsInt64();
-  for (const Value& ev : entries->as_array()) {
-    if (!ev.is_document()) return Status::Corruption("malformed state entry");
-    const Document& e = ev.as_document();
-    const Value* k = e.Get("k");
-    const Value* val = e.Get("v");
-    const Value* ver = e.Get("ver");
-    if (k == nullptr || !k->is_string() || val == nullptr || !val->is_string() ||
-        ver == nullptr || !ver->is_number()) {
-      return Status::Corruption("malformed state entry");
+Status DecodeStates(const Array& items, std::vector<EndpointStateUpdate>* out) {
+  for (const Value& item : items) {
+    bson::FieldReader r(item.as_document(), "gossip state");
+    EndpointStateUpdate update{r.String("ep"), r.Number("gen"), {}};
+    for (const Value& entry : r.Array("entries", Type::kDocument)) {
+      bson::FieldReader e(entry.as_document(), "gossip state entry");
+      update.entries.emplace_back(e.String("k"),
+                                  VersionedEntry{e.String("v"), e.Number("ver")});
+      if (!e.ok()) return e.status();
     }
-    out.entries.emplace_back(k->as_string(),
-                             VersionedEntry{val->as_string(), ver->NumberAsInt64()});
+    if (!r.ok()) return r.status();
+    out->push_back(std::move(update));
   }
-  return out;
+  return Status::OK();
 }
 
 Array EncodeDigests(const std::vector<GossipDigest>& digests) {
@@ -85,36 +67,10 @@ Array EncodeDigests(const std::vector<GossipDigest>& digests) {
   return out;
 }
 
-Result<std::vector<GossipDigest>> DecodeDigests(const Value* v) {
-  if (v == nullptr || !v->is_array()) {
-    return Status::Corruption("missing digest array");
-  }
-  std::vector<GossipDigest> out;
-  for (const Value& dv : v->as_array()) {
-    auto digest = DecodeDigest(dv);
-    if (!digest.ok()) return digest.status();
-    out.push_back(std::move(*digest));
-  }
-  return out;
-}
-
 Array EncodeStates(const std::vector<EndpointStateUpdate>& states) {
   Array out;
   out.reserve(states.size());
   for (const EndpointStateUpdate& s : states) out.push_back(EncodeStateUpdate(s));
-  return out;
-}
-
-Result<std::vector<EndpointStateUpdate>> DecodeStates(const Value* v) {
-  if (v == nullptr || !v->is_array()) {
-    return Status::Corruption("missing states array");
-  }
-  std::vector<EndpointStateUpdate> out;
-  for (const Value& sv : v->as_array()) {
-    auto state = DecodeStateUpdate(sv);
-    if (!state.ok()) return state.status();
-    out.push_back(std::move(*state));
-  }
   return out;
 }
 
@@ -127,10 +83,11 @@ bson::Document EncodeSyn(const SynMessage& msg) {
 }
 
 Result<SynMessage> DecodeSyn(const bson::Document& doc) {
-  auto digests = DecodeDigests(doc.Get("digests"));
-  if (!digests.ok()) return digests.status();
+  bson::FieldReader r(doc, kMsgGossipSyn);
   SynMessage out;
-  out.digests = std::move(*digests);
+  HOTMAN_RETURN_IF_ERROR(
+      DecodeDigests(r.Array("digests", Type::kDocument), &out.digests));
+  if (!r.ok()) return r.status();
   return out;
 }
 
@@ -142,13 +99,13 @@ bson::Document EncodeAck1(const Ack1Message& msg) {
 }
 
 Result<Ack1Message> DecodeAck1(const bson::Document& doc) {
-  auto states = DecodeStates(doc.Get("states"));
-  if (!states.ok()) return states.status();
-  auto requests = DecodeDigests(doc.Get("requests"));
-  if (!requests.ok()) return requests.status();
+  bson::FieldReader r(doc, kMsgGossipAck1);
   Ack1Message out;
-  out.states = std::move(*states);
-  out.requests = std::move(*requests);
+  HOTMAN_RETURN_IF_ERROR(
+      DecodeStates(r.Array("states", Type::kDocument), &out.states));
+  HOTMAN_RETURN_IF_ERROR(
+      DecodeDigests(r.Array("requests", Type::kDocument), &out.requests));
+  if (!r.ok()) return r.status();
   return out;
 }
 
@@ -159,10 +116,11 @@ bson::Document EncodeAck2(const Ack2Message& msg) {
 }
 
 Result<Ack2Message> DecodeAck2(const bson::Document& doc) {
-  auto states = DecodeStates(doc.Get("states"));
-  if (!states.ok()) return states.status();
+  bson::FieldReader r(doc, kMsgGossipAck2);
   Ack2Message out;
-  out.states = std::move(*states);
+  HOTMAN_RETURN_IF_ERROR(
+      DecodeStates(r.Array("states", Type::kDocument), &out.states));
+  if (!r.ok()) return r.status();
   return out;
 }
 

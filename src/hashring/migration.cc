@@ -22,46 +22,9 @@ std::uint64_t ArcLength(std::uint32_t start, std::uint32_t end) {
   return (std::uint64_t{1} << 32) - start + end;
 }
 
-}  // namespace
-
-std::vector<MigrationStep> PlanMigration(const Ring& before, const Ring& after) {
-  std::vector<MigrationStep> steps;
-  if (before.points().empty() || after.points().empty()) return steps;
-
-  // Elementary arcs are delimited by the union of both rings' points.
-  std::set<std::uint32_t> cuts;
-  for (const auto& [p, node] : before.points()) cuts.insert(p);
-  for (const auto& [p, node] : after.points()) cuts.insert(p);
-
-  auto emit = [&steps, &before, &after](std::uint32_t start, std::uint32_t end) {
-    // Owner is constant on [start, end); sample at `start`.
-    const NodeId* from = OwnerAt(before, start);
-    const NodeId* to = OwnerAt(after, start);
-    if (from == nullptr || to == nullptr || *from == *to) return;
-    steps.push_back(MigrationStep{Range{start, end}, *from, *to});
-  };
-
-  auto it = cuts.begin();
-  std::uint32_t first = *it;
-  std::uint32_t prev = first;
-  for (++it; it != cuts.end(); ++it) {
-    emit(prev, *it);
-    prev = *it;
-  }
-  // Wrapping arc from the last cut back to the first.
-  if (cuts.size() == 1) {
-    emit(first, first);  // single point: whole ring
-  } else {
-    emit(prev, first);
-  }
-  return steps;
-}
-
-namespace {
-
-/// Shared elementary-arc walk: calls `emit(start, end)` for every arc
-/// delimited by the union of both rings' virtual points (including the
-/// wrapping arc), mirroring PlanMigration's loop exactly.
+/// The elementary-arc walk every planner shares: calls `emit(start, end)`
+/// for every arc delimited by the union of both rings' virtual points
+/// (including the wrapping arc).
 template <typename Emit>
 void ForEachElementaryArc(const Ring& before, const Ring& after, Emit emit) {
   std::set<std::uint32_t> cuts;
@@ -98,6 +61,19 @@ void AppendStep(std::vector<ReplicaMigrationStep>* steps, Range range,
 }
 
 }  // namespace
+
+std::vector<MigrationStep> PlanMigration(const Ring& before, const Ring& after) {
+  std::vector<MigrationStep> steps;
+  if (before.points().empty() || after.points().empty()) return steps;
+  ForEachElementaryArc(before, after, [&](std::uint32_t start, std::uint32_t end) {
+    // Owner is constant on [start, end); sample at `start`.
+    const NodeId* from = OwnerAt(before, start);
+    const NodeId* to = OwnerAt(after, start);
+    if (from == nullptr || to == nullptr || *from == *to) return;
+    steps.push_back(MigrationStep{Range{start, end}, *from, *to});
+  });
+  return steps;
+}
 
 std::vector<ReplicaMigrationStep> PlanReplicaMigration(const Ring& before,
                                                        const Ring& after,

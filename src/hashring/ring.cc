@@ -12,7 +12,9 @@ bool Range::Contains(std::uint32_t point) const {
 }
 
 Status Ring::AddNode(const NodeId& node, int vnodes) {
-  if (vnodes < 1) return Status::InvalidArgument("vnodes must be >= 1");
+  if (vnodes < 1 || vnodes > kMaxVnodes) {
+    return Status::InvalidArgument("vnodes must be in [1, kMaxVnodes]");
+  }
   if (vnode_counts_.count(node) > 0) {
     return Status::AlreadyExists("node already on ring: " + node);
   }

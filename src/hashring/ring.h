@@ -14,6 +14,12 @@ namespace hotman::hashring {
 /// Identifier of a physical storage node ("host:port" style string).
 using NodeId = std::string;
 
+/// Most virtual points one node may hold on a ring: 512 times the default
+/// of 128. A weight that arrives from outside (a client_join, a peer's
+/// node_added or gossiped vnodes entry) is refused above it, before any
+/// point is reserved.
+inline constexpr int kMaxVnodes = 65536;
+
 /// A half-open arc [start, end) of the 32-bit hash ring, walking clockwise.
 /// Keys hash into the arc ending at a virtual point `end` and are owned by
 /// that point (Eq. (1): the first node position strictly greater than the
@@ -39,8 +45,8 @@ struct Range {
 /// walks further clockwise collecting *distinct physical* successors.
 class Ring {
  public:
-  /// Adds `node` with `vnodes` virtual points (vnodes >= 1). Fails with
-  /// AlreadyExists if present.
+  /// Adds `node` with `vnodes` virtual points (1 <= vnodes <= kMaxVnodes).
+  /// Fails with AlreadyExists if present.
   Status AddNode(const NodeId& node, int vnodes);
 
   /// Removes `node` and all its virtual points; NotFound if absent.

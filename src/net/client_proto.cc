@@ -1,51 +1,13 @@
 #include "net/client_proto.h"
 
+#include "bson/field_reader.h"
+
 namespace hotman::net {
 
 namespace {
 
 using bson::Document;
 using bson::Value;
-
-Result<std::uint64_t> GetU64(const Document& doc, const char* name) {
-  const Value* v = doc.Get(name);
-  if (v == nullptr || !v->is_int64()) {
-    return Status::Corruption(std::string("missing int64 field: ") + name);
-  }
-  return static_cast<std::uint64_t>(v->as_int64());
-}
-
-Result<std::string> GetStr(const Document& doc, const char* name) {
-  const Value* v = doc.Get(name);
-  if (v == nullptr || !v->is_string()) {
-    return Status::Corruption(std::string("missing string field: ") + name);
-  }
-  return v->as_string();
-}
-
-Result<bool> GetBool(const Document& doc, const char* name) {
-  const Value* v = doc.Get(name);
-  if (v == nullptr || !v->is_bool()) {
-    return Status::Corruption(std::string("missing bool field: ") + name);
-  }
-  return v->as_bool();
-}
-
-Result<Bytes> GetBin(const Document& doc, const char* name) {
-  const Value* v = doc.Get(name);
-  if (v == nullptr || !v->is_binary()) {
-    return Status::Corruption(std::string("missing binary field: ") + name);
-  }
-  return v->as_binary().data();
-}
-
-Result<double> GetF64(const Document& doc, const char* name) {
-  const Value* v = doc.Get(name);
-  if (v == nullptr || !v->is_number()) {
-    return Status::Corruption(std::string("missing numeric field: ") + name);
-  }
-  return v->NumberAsDouble();
-}
 
 std::int64_t AsI64(std::uint64_t v) { return static_cast<std::int64_t>(v); }
 
@@ -60,16 +22,12 @@ bson::Document EncodeClientPut(const ClientPutMsg& msg) {
 }
 
 Result<ClientPutMsg> DecodeClientPut(const bson::Document& doc) {
-  auto req = GetU64(doc, "req");
-  if (!req.ok()) return req.status();
-  auto key = GetStr(doc, "key");
-  if (!key.ok()) return key.status();
-  auto val = GetBin(doc, "val");
-  if (!val.ok()) return val.status();
+  bson::FieldReader r(doc, kMsgClientPut);
   ClientPutMsg out;
-  out.req = *req;
-  out.key = std::move(*key);
-  out.value = std::move(*val);
+  out.req = r.Int64("req");
+  out.key = r.String("key");
+  out.value = r.Binary("val");
+  if (!r.ok()) return r.status();
   return out;
 }
 
@@ -82,16 +40,12 @@ bson::Document EncodeClientAck(const ClientAckMsg& msg) {
 }
 
 Result<ClientAckMsg> DecodeClientAck(const bson::Document& doc) {
-  auto req = GetU64(doc, "req");
-  if (!req.ok()) return req.status();
-  auto ok = GetBool(doc, "ok");
-  if (!ok.ok()) return ok.status();
-  auto err = GetStr(doc, "err");
-  if (!err.ok()) return err.status();
+  bson::FieldReader r(doc, "client ack");
   ClientAckMsg out;
-  out.req = *req;
-  out.ok = *ok;
-  out.error = std::move(*err);
+  out.req = r.Int64("req");
+  out.ok = r.Bool("ok");
+  out.error = r.String("err");
+  if (!r.ok()) return r.status();
   return out;
 }
 
@@ -103,13 +57,11 @@ bson::Document EncodeClientGet(const ClientGetMsg& msg) {
 }
 
 Result<ClientGetMsg> DecodeClientGet(const bson::Document& doc) {
-  auto req = GetU64(doc, "req");
-  if (!req.ok()) return req.status();
-  auto key = GetStr(doc, "key");
-  if (!key.ok()) return key.status();
+  bson::FieldReader r(doc, "client request");
   ClientGetMsg out;
-  out.req = *req;
-  out.key = std::move(*key);
+  out.req = r.Int64("req");
+  out.key = r.String("key");
+  if (!r.ok()) return r.status();
   return out;
 }
 
@@ -124,22 +76,14 @@ bson::Document EncodeClientGetAck(const ClientGetAckMsg& msg) {
 }
 
 Result<ClientGetAckMsg> DecodeClientGetAck(const bson::Document& doc) {
-  auto req = GetU64(doc, "req");
-  if (!req.ok()) return req.status();
-  auto ok = GetBool(doc, "ok");
-  if (!ok.ok()) return ok.status();
-  auto found = GetBool(doc, "found");
-  if (!found.ok()) return found.status();
-  auto val = GetBin(doc, "val");
-  if (!val.ok()) return val.status();
-  auto err = GetStr(doc, "err");
-  if (!err.ok()) return err.status();
+  bson::FieldReader r(doc, kMsgClientGetAck);
   ClientGetAckMsg out;
-  out.req = *req;
-  out.ok = *ok;
-  out.found = *found;
-  out.value = std::move(*val);
-  out.error = std::move(*err);
+  out.req = r.Int64("req");
+  out.ok = r.Bool("ok");
+  out.found = r.Bool("found");
+  out.value = r.Binary("val");
+  out.error = r.String("err");
+  if (!r.ok()) return r.status();
   return out;
 }
 
@@ -151,13 +95,11 @@ bson::Document EncodeClientStatsAck(const ClientStatsAckMsg& msg) {
 }
 
 Result<ClientStatsAckMsg> DecodeClientStatsAck(const bson::Document& doc) {
-  auto req = GetU64(doc, "req");
-  if (!req.ok()) return req.status();
-  auto json = GetStr(doc, "json");
-  if (!json.ok()) return json.status();
+  bson::FieldReader r(doc, "client stats ack");
   ClientStatsAckMsg out;
-  out.req = *req;
-  out.json = std::move(*json);
+  out.req = r.Int64("req");
+  out.json = r.String("json");
+  if (!r.ok()) return r.status();
   return out;
 }
 
@@ -171,19 +113,13 @@ bson::Document EncodeClientJoin(const ClientJoinMsg& msg) {
 }
 
 Result<ClientJoinMsg> DecodeClientJoin(const bson::Document& doc) {
-  auto req = GetU64(doc, "req");
-  if (!req.ok()) return req.status();
-  auto node = GetStr(doc, "node");
-  if (!node.ok()) return node.status();
-  auto vnodes = GetU64(doc, "vnodes");
-  if (!vnodes.ok()) return vnodes.status();
-  auto capacity = GetF64(doc, "capacity");
-  if (!capacity.ok()) return capacity.status();
+  bson::FieldReader r(doc, kMsgClientJoin);
   ClientJoinMsg out;
-  out.req = *req;
-  out.node = std::move(*node);
-  out.vnodes = static_cast<std::int64_t>(*vnodes);
-  out.capacity = *capacity;
+  out.req = r.Int64("req");
+  out.node = r.String("node");
+  out.vnodes = r.Int64("vnodes");
+  out.capacity = r.Double("capacity");
+  if (!r.ok()) return r.status();
   return out;
 }
 

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "bson/codec.h"
+#include "bson/field_reader.h"
 
 namespace hotman::net {
 
@@ -51,34 +52,13 @@ void EncodeFrame(const Message& msg, std::string* out) {
 Status DecodeEnvelope(std::string_view payload, Message* msg) {
   bson::Document envelope;
   HOTMAN_RETURN_IF_ERROR(bson::Decode(payload, &envelope));
-
-  const bson::Value* from = envelope.Get(kFrom);
-  const bson::Value* to = envelope.Get(kTo);
-  const bson::Value* type = envelope.Get(kType);
-  if (from == nullptr || !from->is_string() || to == nullptr ||
-      !to->is_string() || type == nullptr || !type->is_string()) {
-    return Status::Corruption("frame envelope missing f/t/y string fields");
-  }
-  msg->from = from->as_string();
-  msg->to = to->as_string();
-  msg->type = type->as_string();
-
-  msg->sent_at = 0;
-  if (const bson::Value* sent = envelope.Get(kSentAt); sent != nullptr) {
-    if (!sent->is_number()) {
-      return Status::Corruption("frame envelope s field is not numeric");
-    }
-    msg->sent_at = sent->NumberAsInt64();
-  }
-
-  msg->body = bson::Document();
-  if (const bson::Value* body = envelope.Get(kBody); body != nullptr) {
-    if (!body->is_document()) {
-      return Status::Corruption("frame envelope b field is not a document");
-    }
-    msg->body = body->as_document();
-  }
-  return Status::OK();
+  bson::FieldReader r(envelope, "frame envelope");
+  msg->from = r.String(kFrom);
+  msg->to = r.String(kTo);
+  msg->type = r.String(kType);
+  msg->sent_at = r.NumberOr(kSentAt, 0);
+  msg->body = r.DocOr(kBody, bson::Document());
+  return r.status();
 }
 
 void FrameReader::Append(std::string_view data) {

@@ -1,42 +1,23 @@
 #include "rebalance/messages.h"
 
+#include "bson/field_reader.h"
+#include "core/record.h"
+
 namespace hotman::rebalance {
 
 namespace {
 
 using bson::Document;
+using bson::Type;
 using bson::Value;
-
-Result<std::string> GetStr(const Document& doc, const char* name) {
-  const Value* v = doc.Get(name);
-  if (v == nullptr || !v->is_string()) {
-    return Status::Corruption(std::string("missing string field: ") + name);
-  }
-  return v->as_string();
-}
-
-Result<std::int64_t> GetI64(const Document& doc, const char* name) {
-  const Value* v = doc.Get(name);
-  if (v == nullptr || !v->is_number()) {
-    return Status::Corruption(std::string("missing number field: ") + name);
-  }
-  return v->NumberAsInt64();
-}
 
 void AppendWatermark(Document* doc, const Watermark& wm) {
   doc->Append("wm_p", Value(static_cast<std::int64_t>(wm.point)));
   doc->Append("wm_k", Value(wm.key));
 }
 
-Result<Watermark> GetWatermark(const Document& doc) {
-  auto point = GetI64(doc, "wm_p");
-  if (!point.ok()) return point.status();
-  auto key = GetStr(doc, "wm_k");
-  if (!key.ok()) return key.status();
-  Watermark wm;
-  wm.point = static_cast<std::uint32_t>(*point);
-  wm.key = std::move(*key);
-  return wm;
+Watermark GetWatermark(bson::FieldReader& r) {
+  return Watermark{r.Uint32("wm_p"), r.String("wm_k")};
 }
 
 }  // namespace
@@ -58,26 +39,16 @@ bson::Document EncodeRangeDigest(const RangeDigestMsg& msg) {
 }
 
 Result<RangeDigestMsg> DecodeRangeDigest(const bson::Document& doc) {
-  auto id = GetStr(doc, "id");
-  if (!id.ok()) return id.status();
-  const Value* arcs = doc.Get("arcs");
-  if (arcs == nullptr || !arcs->is_array()) {
-    return Status::Corruption("range_digest missing arcs");
-  }
+  bson::FieldReader r(doc, kMsgRangeDigest);
   RangeDigestMsg out;
-  out.transfer_id = std::move(*id);
-  for (const Value& av : arcs->as_array()) {
-    if (!av.is_document()) return Status::Corruption("malformed arc");
-    const Document& item = av.as_document();
-    auto start = GetI64(item, "s");
-    if (!start.ok()) return start.status();
-    auto end = GetI64(item, "e");
-    if (!end.ok()) return end.status();
-    out.arcs.push_back(hashring::Range{static_cast<std::uint32_t>(*start),
-                                       static_cast<std::uint32_t>(*end)});
+  out.transfer_id = r.String("id");
+  for (const Value& arc : r.Array("arcs", Type::kDocument)) {
+    bson::FieldReader a(arc.as_document(), "range_digest arc");
+    out.arcs.push_back(hashring::Range{a.Uint32("s"), a.Uint32("e")});
+    if (!a.ok()) return a.status();
   }
-  auto total = GetI64(doc, "total");
-  if (total.ok()) out.total_records = static_cast<std::uint64_t>(*total);
+  out.total_records = r.NumberOr("total", 0);
+  if (!r.ok()) return r.status();
   return out;
 }
 
@@ -90,18 +61,12 @@ bson::Document EncodeRangeAck(const RangeAckMsg& msg) {
 }
 
 Result<RangeAckMsg> DecodeRangeAck(const bson::Document& doc) {
-  auto id = GetStr(doc, "id");
-  if (!id.ok()) return id.status();
-  const Value* ok = doc.Get("ok");
-  if (ok == nullptr || !ok->is_bool()) {
-    return Status::Corruption("range_ack missing ok");
-  }
-  auto wm = GetWatermark(doc);
-  if (!wm.ok()) return wm.status();
+  bson::FieldReader r(doc, kMsgRangeAck);
   RangeAckMsg out;
-  out.transfer_id = std::move(*id);
-  out.ok = ok->as_bool();
-  out.watermark = std::move(*wm);
+  out.transfer_id = r.String("id");
+  out.ok = r.Bool("ok");
+  out.watermark = GetWatermark(r);
+  if (!r.ok()) return r.status();
   return out;
 }
 
@@ -119,21 +84,17 @@ bson::Document EncodeRangePush(const RangePushMsg& msg) {
 }
 
 Result<RangePushMsg> DecodeRangePush(const bson::Document& doc) {
-  auto id = GetStr(doc, "id");
-  if (!id.ok()) return id.status();
-  const Value* records = doc.Get("recs");
-  if (records == nullptr || !records->is_array()) {
-    return Status::Corruption("range_push missing recs");
-  }
-  auto wm = GetWatermark(doc);
-  if (!wm.ok()) return wm.status();
+  bson::FieldReader r(doc, kMsgRangePush);
   RangePushMsg out;
-  out.transfer_id = std::move(*id);
-  for (const Value& rv : records->as_array()) {
-    if (!rv.is_document()) return Status::Corruption("malformed push record");
-    out.records.push_back(rv.as_document());
+  out.transfer_id = r.String("id");
+  for (const Value& record : r.Array("recs", Type::kDocument)) {
+    // Only records core::ValidateRecord accepts go past the decoder.
+    const Status valid = core::ValidateRecord(record.as_document());
+    if (!valid.ok()) r.Reject("recs", valid.message());
+    out.records.push_back(record.as_document());
   }
-  out.watermark = std::move(*wm);
+  out.watermark = GetWatermark(r);
+  if (!r.ok()) return r.status();
   return out;
 }
 
@@ -144,10 +105,10 @@ bson::Document EncodeTransferDone(const TransferDoneMsg& msg) {
 }
 
 Result<TransferDoneMsg> DecodeTransferDone(const bson::Document& doc) {
-  auto id = GetStr(doc, "id");
-  if (!id.ok()) return id.status();
+  bson::FieldReader r(doc, kMsgTransferDone);
   TransferDoneMsg out;
-  out.transfer_id = std::move(*id);
+  out.transfer_id = r.String("id");
+  if (!r.ok()) return r.status();
   return out;
 }
 

@@ -243,7 +243,7 @@ void Rebalancer::MaybeSendNext(const std::string& id) {
   for (std::size_t i = t.cursor; i < end_index; ++i) {
     Result<bson::Document> record = env_.lookup(t.keys[i].second);
     if (!record.ok()) continue;  // purged since the snapshot; cursor still advances
-    bytes += bson::EncodeToString(*record).size();
+    bytes += bson::EncodedSize(*record);
     push.records.push_back(std::move(*record));
   }
   push.watermark =

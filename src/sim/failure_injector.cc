@@ -7,6 +7,16 @@ namespace hotman::sim {
 using docstore::DocStoreServer;
 using docstore::FaultMode;
 
+namespace {
+
+/// A broken-down node stays silent for a uniform duration in this window,
+/// long enough for seeds to classify the failure as long and run repair;
+/// then it is "replaced" and rejoins.
+constexpr Micros kBreakdownMin = 30 * kMicrosPerSecond;
+constexpr Micros kBreakdownMax = 90 * kMicrosPerSecond;
+
+}  // namespace
+
 FailureInjector::FailureInjector(EventLoop* loop, SimNetwork* network,
                                  FailureConfig config, std::uint64_t seed)
     : loop_(loop), network_(network), config_(config), rng_(seed) {}
@@ -19,10 +29,8 @@ Micros FailureInjector::ShortDuration() {
 }
 
 Micros FailureInjector::BreakdownDuration() {
-  const Micros span = config_.breakdown_max - config_.breakdown_min;
-  if (span <= 0) return config_.breakdown_min;
-  return config_.breakdown_min +
-         static_cast<Micros>(rng_.Uniform(static_cast<std::uint64_t>(span)));
+  constexpr auto kSpan = static_cast<std::uint64_t>(kBreakdownMax - kBreakdownMin);
+  return kBreakdownMin + static_cast<Micros>(rng_.Uniform(kSpan));
 }
 
 void FailureInjector::RegisterServer(DocStoreServer* server) {
@@ -40,7 +48,7 @@ bool FailureInjector::InjectRolled(DocStoreServer* server, bool net, bool disk,
     ++stats_.breakdowns;
     server->SetFault(FaultMode::kDown);
     if (network_ != nullptr) network_->Disconnect(server->address());
-    if (config_.breakdowns_recover) ScheduleBreakdownRecovery(server);
+    ScheduleBreakdownRecovery(server);
     return true;
   }
   if (net) {

@@ -23,14 +23,6 @@ struct FailureConfig {
   Micros short_failure_min = 50 * kMicrosPerMilli;
   Micros short_failure_max = 500 * kMicrosPerMilli;
 
-  /// Long failures (node breakdown): the node stays silent long enough for
-  /// seeds to classify the failure as long and run repair, then the node is
-  /// "replaced" and rejoins (disable via breakdowns_recover=false for
-  /// permanent-loss experiments).
-  bool breakdowns_recover = true;
-  Micros breakdown_min = 30 * kMicrosPerSecond;
-  Micros breakdown_max = 90 * kMicrosPerSecond;
-
   /// All-zero configuration (the "no-fault" arm of Figs. 16-17).
   static FailureConfig None() {
     FailureConfig c;
@@ -58,8 +50,9 @@ struct FailureStats {
 /// modes. Call MaybeInject(server) once per storage operation targeting
 /// that server; the dice decide whether the operation sees a fault. Short
 /// failures are automatically healed after a random interval via the event
-/// loop ("the failure could recover itself"); node breakdowns persist until
-/// the cluster layer performs long-failure repair (or Revive is called).
+/// loop ("the failure could recover itself"); a node breakdown lasts 30-90 s
+/// (kBreakdownMin/kBreakdownMax in failure_injector.cc), long enough for the
+/// cluster layer's long-failure repair, and then the node rejoins.
 class FailureInjector {
  public:
   FailureInjector(EventLoop* loop, SimNetwork* network, FailureConfig config,

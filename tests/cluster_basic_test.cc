@@ -63,6 +63,17 @@ TEST_F(ClusterBasicTest, DeleteIsLogicalTombstone) {
   EXPECT_GT(tombstones, 0u);
 }
 
+TEST_F(ClusterBasicTest, EmptyKeyPutFailsAtOnce) {
+  // No replica stores the empty key (core::ValidateRecord refuses it, and a
+  // peer's decoder drops such a record), so the coordinator refuses the
+  // put before sending anything instead of waiting out its timeout.
+  Boot();
+  const Micros started = cluster_->loop()->NowMicros();
+  const Status put = cluster_->PutSync("", ToBytes("v"));
+  EXPECT_TRUE(put.IsInvalidArgument()) << put.ToString();
+  EXPECT_LT(cluster_->loop()->NowMicros() - started, cluster_->config().put_timeout);
+}
+
 TEST_F(ClusterBasicTest, EveryRecordGetsNReplicas) {
   Boot();
   const int keys = 40;

@@ -15,6 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -24,10 +29,13 @@
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "cluster/messages.h"
 #include "common/bytes.h"
 #include "common/metrics.h"
 #include "core/node_host.h"
 #include "core/record.h"
+#include "net/frame.h"
+#include "net/remote_client.h"
 #include "net/shard_context.h"
 #include "net/spsc_queue.h"
 #include "net/tcp_transport.h"
@@ -813,6 +821,56 @@ TEST_F(ShardedRuntimeTest, FastReadDemotesAndReissuesInPlace) {
   EXPECT_EQ(hit.fast_read_demotions, demoted.fast_read_demotions);
   EXPECT_EQ(NetDelta(before, "net.frames_sent"), 0u);
   EXPECT_EQ(answers_.load(), 3);
+}
+
+TEST_F(ShardedRuntimeTest, MalformedRecordFramesLeaveTheNodeServing) {
+  // Anyone who can connect can send frames: the transport learns a peer's
+  // name from its first frame. A put_replica and a get_ack whose record
+  // core::ValidateRecord rejects are dropped by their decoders, so the node
+  // goes on serving clients instead of aborting in a record accessor.
+  Boot(SoloNodeConfig());
+  const std::uint16_t port = host_->transport()->listen_port();
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+
+  cluster::GetAckMsg forged_ack;
+  forged_ack.req = 1u << cluster::StorageNode::kShardBits;
+  forged_ack.ok = true;
+  forged_ack.found = true;  // with an empty record
+  std::string wire;
+  for (auto& [type, body] :
+       {std::pair{cluster::kMsgPutReplica,
+                  cluster::EncodePutReplica(cluster::PutReplicaMsg{1, {}})},
+        std::pair{cluster::kMsgGetAck, cluster::EncodeGetAck(forged_ack)}}) {
+    Message msg;
+    msg.from = "intruder:1";
+    msg.to = config_.nodes.front().address;
+    msg.type = type;
+    msg.body = body;
+    EncodeFrame(msg, &wire);
+  }
+  ASSERT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(wire.size()));
+  // One connection's frames are handled in order: once the get_ack counts
+  // as corrupt, the put_replica before it has been handled too.
+  ASSERT_TRUE(WaitUntil([&] { return node_->stats().get_acks_corrupt == 1; }));
+
+  RemoteClientConfig client_config;
+  client_config.port = port;
+  client_config.name = "client:1";
+  RemoteClient client(client_config);
+  const std::string& server = config_.nodes.front().address;
+  ASSERT_TRUE(client.Put(server, "user:42", ToBytes("v1")).ok());
+  Result<Bytes> got = client.Get(server, "user:42");
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(ToString(*got), "v1");
+  client.Close();
+  ::close(fd);
 }
 
 TEST(ShardedRuntimeDeathTest, SystemMessageAShardSendsItsOwnNodeAborts) {

@@ -47,6 +47,15 @@ TEST(RingTest, AddRemoveNodes) {
   EXPECT_EQ(ring.NumVirtualNodes(), 0u);
 }
 
+TEST(RingTest, AddNodeRefusesMoreThanMaxVnodes) {
+  Ring ring;
+  EXPECT_TRUE(ring.AddNode("big", kMaxVnodes + 1).IsInvalidArgument());
+  EXPECT_FALSE(ring.HasNode("big"));
+  EXPECT_EQ(ring.NumVirtualNodes(), 0u);
+  ASSERT_TRUE(ring.AddNode("big", kMaxVnodes).ok());
+  EXPECT_EQ(ring.VnodeCount("big"), kMaxVnodes);
+}
+
 TEST(RingTest, SingleNodeOwnsEverything) {
   Ring ring;
   ASSERT_TRUE(ring.AddNode("only", 4).ok());
