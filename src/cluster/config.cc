@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "hashring/ring.h"
+
 namespace hotman::cluster {
 
 int EffectiveVnodes(const NodeSpec& spec) {
@@ -30,6 +32,10 @@ Status ClusterConfig::Validate() const {
     if (node.vnodes < 1) return Status::InvalidArgument("vnodes must be >= 1");
     if (!(node.capacity > 0.0)) {
       return Status::InvalidArgument("node capacity must be > 0");
+    }
+    // Ring::AddNode refuses more points, which Start() would not report.
+    if (std::round(node.vnodes * node.capacity) > hashring::kMaxVnodes) {
+      return Status::InvalidArgument("vnodes * capacity must be <= kMaxVnodes");
     }
     has_seed = has_seed || node.is_seed;
   }

@@ -60,6 +60,15 @@ TEST(ClusterConfigTest, MembershipValidated) {
   config = ClusterConfig::Uniform(3);
   config.nodes[2].vnodes = 0;
   EXPECT_TRUE(config.Validate().IsInvalidArgument());
+
+  // A node's ring weight, capacity-scaled, is bounded like any other.
+  config = ClusterConfig::Uniform(3);
+  config.nodes[2].vnodes = hashring::kMaxVnodes + 1;
+  EXPECT_TRUE(config.Validate().IsInvalidArgument());
+  config.nodes[2].vnodes = hashring::kMaxVnodes;
+  EXPECT_TRUE(config.Validate().ok());
+  config.nodes[2].capacity = 2.0;
+  EXPECT_TRUE(config.Validate().IsInvalidArgument());
 }
 
 TEST(ClusterConfigTest, HighConsistencyAndHighAvailabilityPresets) {
