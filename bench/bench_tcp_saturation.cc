@@ -1,11 +1,11 @@
 // TCP saturation knee of a real loopback cluster: spawns three `hotmand`
 // daemons (actual sockets, actual reactor threads), drives a closed-loop
 // 90/10 get/put workload at rising client concurrency, and reports
-// throughput and get and put p50/p99 per level plus the knee — the concurrency
-// level past which extra clients stop buying throughput. Run at --shards=1
-// vs --shards=3 to compare the single-reactor node against the
-// shard-per-core one. Any failed op, and any daemon that does not exit 0
-// on SIGTERM, makes the run exit non-zero.
+// throughput, get and put p50/p99 and the daemons' CPU time per op at each
+// level, plus the knee — the concurrency level past which extra clients
+// stop buying throughput. Run at --shards=1 vs --shards=3 to compare the
+// single-reactor node against the shard-per-core one. Any failed op, and
+// any daemon that does not exit 0 on SIGTERM, makes the run exit non-zero.
 //
 // The daemon binary path comes from $HOTMAND_BIN or --hotmand=PATH (falls
 // back to <this binary's dir>/../tools/hotmand). Emits
@@ -44,6 +44,8 @@ std::string KeyOf(int i) { return "sat" + std::to_string(i); }
 
 struct Level {
   double ops_per_sec = 0.0;
+  /// The daemons' CPU time (user + system, summed) per successful op.
+  double server_cpu_us_per_op = 0.0;
   workload::LatencyRecorder get_latency;  ///< successful gets, whole µs
   workload::LatencyRecorder put_latency;  ///< successful puts, whole µs
   std::uint64_t failures = 0;
@@ -103,12 +105,14 @@ Level MeasureLevel(const DaemonCluster& cluster, int concurrency,
     });
   }
   while (ready.load() < concurrency) std::this_thread::yield();
+  const double cpu_start = cluster.CpuSeconds();
   const auto start = std::chrono::steady_clock::now();
   go.store(true, std::memory_order_release);
   std::this_thread::sleep_for(window);
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& t : pool) t.join();
   const auto end = std::chrono::steady_clock::now();
+  const double cpu_seconds = cluster.CpuSeconds() - cpu_start;
 
   Level level;
   std::uint64_t total = 0;
@@ -124,6 +128,8 @@ Level MeasureLevel(const DaemonCluster& cluster, int concurrency,
       std::chrono::duration_cast<std::chrono::duration<double>>(end - start)
           .count();
   level.ops_per_sec = seconds > 0 ? static_cast<double>(total) / seconds : 0.0;
+  level.server_cpu_us_per_op =
+      total > 0 ? cpu_seconds * 1e6 / static_cast<double>(total) : 0.0;
   return level;
 }
 
@@ -210,7 +216,7 @@ int main(int argc, char** argv) {
 
   bench::Section("closed-loop 90/10 get/put by client concurrency");
   bench::Row({"clients", "ops/sec", "vs prev", "get p50 us", "get p99 us",
-              "put p50 us", "put p99 us", "failed"});
+              "put p50 us", "put p99 us", "cpu us/op", "failed"});
   std::vector<double> tputs;
   int knee_concurrency = levels.front();
   double knee_ops = 0.0;
@@ -227,13 +233,15 @@ int main(int argc, char** argv) {
     bench::Row({std::to_string(levels[l]), bench::Fmt(tput, 0),
                 l == 0 ? "-" : bench::Fmt(gain, 2) + "x", std::to_string(get_p50),
                 std::to_string(get_p99), std::to_string(put_p50),
-                std::to_string(put_p99), std::to_string(level.failures)});
+                std::to_string(put_p99), bench::Fmt(level.server_cpu_us_per_op, 1),
+                std::to_string(level.failures)});
     const std::string prefix = "c" + std::to_string(levels[l]);
     json.Number(prefix + "_ops_per_sec", tput, 0);
     json.Integer(prefix + "_get_p50_us", get_p50);
     json.Integer(prefix + "_get_p99_us", get_p99);
     json.Integer(prefix + "_put_p50_us", put_p50);
     json.Integer(prefix + "_put_p99_us", put_p99);
+    json.Number(prefix + "_server_cpu_us_per_op", level.server_cpu_us_per_op, 1);
     json.Integer(prefix + "_failed_ops", static_cast<long long>(level.failures));
     failed_ops += level.failures;
     // The knee: the last level that still bought >=10% more throughput.

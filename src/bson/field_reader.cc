@@ -121,10 +121,9 @@ std::int64_t FieldReader::NumberOr(const char* name, std::int64_t fallback) {
   return AsInt64(name, Find(name, false, &Value::is_number, "number"), fallback);
 }
 
-Document FieldReader::DocOr(const char* name, Document fallback) {
+const Document* FieldReader::OptionalDoc(const char* name) {
   const Value* v = Find(name, false, &Value::is_document, "document");
-  if (v == nullptr) return fallback;
-  return v->as_document();
+  return v != nullptr ? &v->as_document() : nullptr;
 }
 
 }  // namespace hotman::bson

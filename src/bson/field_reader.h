@@ -44,7 +44,10 @@ class FieldReader {
   std::string StringOr(const char* name, std::string fallback);
   bool BoolOr(const char* name, bool fallback);
   std::int64_t NumberOr(const char* name, std::int64_t fallback);
-  Document DocOr(const char* name, Document fallback);
+  /// The optional document `name`, or null when absent. It copies nothing:
+  /// a decoder that owns the read document can move the checked field out
+  /// (Document::GetMutable).
+  const Document* OptionalDoc(const char* name);
 
   /// Fails the read on `name` for a reason its type does not show (a range,
   /// a record schema). Like a bad getter, it keeps only the first failure.

@@ -147,6 +147,11 @@ const std::string& Value::as_string() const {
   DieBadAccess(type(), "string");
 }
 
+std::string& Value::as_string() {
+  if (auto* v = std::get_if<std::string>(&rep_)) return *v;
+  DieBadAccess(type(), "string");
+}
+
 const Document& Value::as_document() const {
   if (auto* v = std::get_if<std::unique_ptr<Document>>(&rep_)) return **v;
   DieBadAccess(type(), "document");

@@ -126,6 +126,7 @@ class Value {
   /// use type() / is_*() first when the type is not statically known.
   double as_double() const;
   const std::string& as_string() const;
+  std::string& as_string();
   const Document& as_document() const;
   Document& as_document();
   const Array& as_array() const;

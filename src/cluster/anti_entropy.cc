@@ -8,7 +8,9 @@
 // that the peer lacks (or holds stale), and requests the ones the peer is
 // ahead on. Last-write-wins at the replica store keeps the exchange
 // idempotent and convergent (a flat digest here; Merkle trees would be the
-// production-scale summary).
+// production-scale summary). The same digest handler answers the version
+// probe of a read the coordinator served from its own replica
+// (StorageNode::IssueRead): a partial digest of that one record.
 //
 // The whole protocol is shard-0 (system shard) work: it reads the master
 // ring and failure detector directly, and it scans the per-shard store
@@ -69,9 +71,7 @@ void StorageNode::HandleAeDigest(const net::Message& msg) {
   if (!server_->CheckAvailable().ok()) return;
 
   AeRequestMsg request;
-  std::set<std::string> mentioned;
   for (const AeDigestEntry& entry : digest->entries) {
-    mentioned.insert(entry.key);
     auto local = StoreForKey(entry.key)->GetByKey(entry.key);  // NOLINT(hotman-shard-affinity) docstore-locked snapshot read from the system shard
     if (!local.ok()) {
       // We are missing the record entirely: pull it.
@@ -97,14 +97,19 @@ void StorageNode::HandleAeDigest(const net::Message& msg) {
     }
   }
   // Records we hold that the digest never mentioned (the sender lost or
-  // never received them): push proactively.
-  for (const bson::Document& record : SharedRecords(msg.from)) {
-    if (mentioned.count(core::RecordSelfKey(record)) > 0) continue;
-    PutReplicaMsg push;
-    push.req = 0;
-    push.record = core::AsReplicaCopy(record);
-    SendToNode(msg.from, kMsgPutReplica, EncodePutReplica(push));
-    ++shards_[0]->stats.ae_pushed;
+  // never received them): push proactively. A partial digest, such as a
+  // read's version probe, asks about its own entries alone.
+  if (!digest->partial) {
+    std::set<std::string> mentioned;
+    for (const AeDigestEntry& entry : digest->entries) mentioned.insert(entry.key);
+    for (const bson::Document& record : SharedRecords(msg.from)) {
+      if (mentioned.count(core::RecordSelfKey(record)) > 0) continue;
+      PutReplicaMsg push;
+      push.req = 0;
+      push.record = core::AsReplicaCopy(record);
+      SendToNode(msg.from, kMsgPutReplica, EncodePutReplica(push));
+      ++shards_[0]->stats.ae_pushed;
+    }
   }
   if (!request.keys.empty()) {
     SendToNode(msg.from, kMsgAeRequest, EncodeAeRequest(request));

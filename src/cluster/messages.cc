@@ -202,6 +202,8 @@ bson::Document EncodeAeDigest(const AeDigestMsg& msg) {
     entries.emplace_back(std::move(item));
   }
   doc.Append("entries", Value(std::move(entries)));
+  // Only encoded when set, so a full digest keeps its bytes.
+  if (msg.partial) doc.Append("p", Value(true));
   return doc;
 }
 
@@ -213,6 +215,7 @@ Result<AeDigestMsg> DecodeAeDigest(const bson::Document& doc) {
     out.entries.push_back(AeDigestEntry{e.String("k"), e.Int64("ts"), e.String("o")});
     if (!e.ok()) return e.status();
   }
+  out.partial = r.BoolOr("p", false);
   if (!r.ok()) return r.status();
   return out;
 }

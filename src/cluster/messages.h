@@ -102,6 +102,10 @@ struct AeDigestEntry {
 /// transparent and testable.
 struct AeDigestMsg {
   std::vector<AeDigestEntry> entries;
+  /// A partial digest names only the records it lists: the receiver
+  /// reconciles those and skips the push of every shared record it did not
+  /// mention. The version probe of a read served in place is one.
+  bool partial = false;
 };
 
 /// ae_request payload: keys the requester wants pushed (the sender's

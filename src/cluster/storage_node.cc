@@ -882,20 +882,13 @@ void StorageNode::IssueRead(ShardState& ss, const std::string& key,
   get.key = key;
   get.cb = std::move(cb);
   get.started_at = started_at;
-  get.timeout_event = ss.executor->ScheduleTimer(plan.budget, [this, &ss, req]() {
-    auto it = ss.pending_gets.find(req);
-    if (it != ss.pending_gets.end()) {
-      AdvanceRead(ss, req, it->second, /*timed_out=*/true);
-    }
-  });
   get.plan = std::move(plan);
-  const ReadPlan* issued =
-      &ss.pending_gets.emplace(req, std::move(get)).first->second.plan;
+  auto it = ss.pending_gets.emplace(req, std::move(get)).first;
 
-  // This node's own replica answers in place before any frame leaves, so
-  // an R=1 read it can serve concludes here (and stays pending for read
-  // repair). The answer can also retire the read or demote it into a new
-  // request id; then nothing more goes out under this one.
+  // This node's own replica answers in place before any frame leaves. The
+  // answer can retire the read or demote it into a new request id; then
+  // nothing more goes out under this one.
+  const ReadPlan* issued = &it->second.plan;
   const auto own_it = std::find_if(
       issued->targets.begin(), issued->targets.end(),
       [this](const std::string& target) { return ServesInPlace(target); });
@@ -904,10 +897,27 @@ void StorageNode::IssueRead(ShardState& ss, const std::string& key,
     GetAckMsg ack = ReadReplica(ss, key, static_cast<int>(own) == issued->verifier);
     ack.req = req;
     HandleGetAck(ss, id_, std::move(ack));
-    auto it = ss.pending_gets.find(req);
+    it = ss.pending_gets.find(req);
     if (it == ss.pending_gets.end()) return;
+    if (it->second.done && !it->second.plan.demotes()) {
+      // An R=1 read the own replica's record concluded. The other replicas
+      // would send their records only to be compared, so the read retires
+      // here and read repair sends each a one-way version probe instead
+      // (a partial anti-entropy digest): a peer holding an older version or
+      // none pulls the record, one holding a newer version pushes it here.
+      if (config_.read_repair) ProbeReplicas(ss, it->second);
+      ss.pending_gets.erase(it);
+      return;
+    }
     issued = &it->second.plan;
   }
+  it->second.timeout_event =
+      ss.executor->ScheduleTimer(issued->budget, [this, &ss, req]() {
+        auto pending = ss.pending_gets.find(req);
+        if (pending != ss.pending_gets.end()) {
+          AdvanceRead(ss, req, pending->second, /*timed_out=*/true);
+        }
+      });
 
   GetReplicaMsg msg;
   msg.req = req;
@@ -921,6 +931,20 @@ void StorageNode::IssueRead(ShardState& ss, const std::string& key,
     }
     msg.digest_only = true;
     SendToNode(issued->targets[i], kMsgGetReplica, EncodeGetReplica(msg));
+  }
+}
+
+void StorageNode::ProbeReplicas(ShardState& ss, const PendingGet& get) {
+  const bson::Document& served = get.replies.at(id_).record;
+  AeDigestMsg probe;
+  probe.entries.push_back(AeDigestEntry{get.key, core::RecordTimestamp(served),
+                                        core::RecordOrigin(served)});
+  probe.partial = true;
+  const bson::Document body = EncodeAeDigest(probe);
+  for (const std::string& target : get.plan.targets) {
+    if (target == id_) continue;
+    SendToNode(target, kMsgAeDigest, body);
+    ++ss.stats.read_probes;
   }
 }
 

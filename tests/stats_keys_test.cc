@@ -32,6 +32,7 @@ const std::vector<std::string> kOpCounterNames = {
     "gets_coordinated", "gets_succeeded", "gets_failed",
     "replica_puts_applied", "replica_gets_served", "handoff_writes",
     "hints_delivered", "read_repairs", "read_repairs_skipped_dead",
+    "read_probes",
     "fast_read_hits", "fast_read_fallbacks", "fast_read_demotions",
     "hot_gets_fanned", "hot_read_hits", "hot_read_demotions",
     "replica_digests_served", "get_acks_corrupt", "rereplications",

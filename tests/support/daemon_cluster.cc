@@ -10,7 +10,9 @@
 
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <thread>
 #include <utility>
 
@@ -162,6 +164,27 @@ std::vector<int> DaemonCluster::Terminate() {
     codes.push_back(ExitCode(node.status));
   }
   return codes;
+}
+
+double DaemonCluster::CpuSeconds() const {
+  const double ticks = static_cast<double>(::sysconf(_SC_CLK_TCK));
+  double total = 0.0;
+  for (const Node& node : nodes_) {
+    if (node.pid <= 0) continue;
+    std::ifstream in("/proc/" + std::to_string(node.pid) + "/stat");
+    std::string line;
+    std::getline(in, line);
+    // The fields after "(comm)", which may itself hold spaces: state is
+    // field 3, utime 14 and stime 15.
+    const std::size_t paren = line.rfind(')');
+    if (paren == std::string::npos) continue;
+    std::istringstream fields(line.substr(paren + 2));
+    std::string field;
+    for (int i = 3; i <= 15 && fields >> field; ++i) {
+      if (i >= 14) total += std::stod(field) / ticks;
+    }
+  }
+  return total;
 }
 
 net::RemoteClientConfig DaemonCluster::ClientConfig(int i, const std::string& who) const {

@@ -48,6 +48,11 @@ class DaemonCluster {
 
   const std::string& name(int i) const { return nodes_[Index(i)].name; }
 
+  /// The CPU time, user plus system, that the running daemons have used so
+  /// far, summed, in seconds: utime + stime of /proc/<pid>/stat, in clock
+  /// ticks (10 ms at the usual 100 Hz).
+  double CpuSeconds() const;
+
   /// A client of daemon i named `<who>-<pid>`, with a 5 s op timeout.
   net::RemoteClientConfig ClientConfig(int i, const std::string& who) const;
 

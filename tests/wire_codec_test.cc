@@ -256,6 +256,15 @@ std::vector<Decoder> AllDecoders() {
                   {"entries.0.ts", Kind::kInt64},
                   {"entries.0.o", Kind::kString}},
                  {}});
+  all.push_back({"ae_digest (partial)",
+                 EncodeAeDigest(AeDigestMsg{{{"user:42", 1234567, "db1:19870"}}, true}),
+                 RoundTrip(DecodeAeDigest, EncodeAeDigest),
+                 {{"entries", Kind::kArray},
+                  {"entries.0", Kind::kDocument},
+                  {"entries.0.k", Kind::kString},
+                  {"entries.0.ts", Kind::kInt64},
+                  {"entries.0.o", Kind::kString}},
+                 {{"p", std::nullopt}}});
   all.push_back({"ae_request", EncodeAeRequest(AeRequestMsg{{"user:42", "user:43"}}),
                  RoundTrip(DecodeAeRequest, EncodeAeRequest),
                  {{"keys", Kind::kArray}, {"keys.1", Kind::kString}},
@@ -418,6 +427,8 @@ TEST(WireCodecTest, EncodersWriteThePinnedBytes) {
       {"handoff_ack", body("handoff_ack"), 24, "8af40f2d08d39f61a6c055da1ac408ff"},
       {"node_added", body("node_added"), 37, "1f1c6e4c9f0da2325bfccfcf5ab35266"},
       {"ae_digest", body("ae_digest"), 123, "4f7b520fe14bc0b25a52722692f52a45"},
+      {"ae_digest (partial)", body("ae_digest (partial)"), 75,
+       "1395c9f008295cd7487d7898984dc57c"},
       {"ae_request", body("ae_request"), 46, "05ba951df2eeddfdebc213efd178a858"},
       {"client_put", body("client_put"), 50, "12041b858f76edf7e90dd043272f54a2"},
       {"client_put_ack", body("client_put_ack"), 45, "b9712ea39d047a60f35450231b275f51"},
