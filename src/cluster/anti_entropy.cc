@@ -78,21 +78,12 @@ void StorageNode::HandleAeDigest(const net::Message& msg) {
       request.keys.push_back(entry.key);
       continue;
     }
-    const Micros local_ts = core::RecordTimestamp(*local);
-    const std::string local_origin = core::RecordOrigin(*local);
-    const bool remote_newer =
-        entry.timestamp > local_ts ||
-        (entry.timestamp == local_ts && entry.origin > local_origin);
-    const bool local_newer =
-        local_ts > entry.timestamp ||
-        (local_ts == entry.timestamp && local_origin > entry.origin);
-    if (remote_newer) {
+    const core::Version held = core::RecordVersion(*local);
+    const core::Version remote{entry.timestamp, entry.origin};
+    if (remote > held) {
       request.keys.push_back(entry.key);
-    } else if (local_newer) {
-      PutReplicaMsg push;
-      push.req = 0;
-      push.record = core::AsReplicaCopy(*local);
-      SendToNode(msg.from, kMsgPutReplica, EncodePutReplica(push));
+    } else if (held > remote) {
+      PushCopy(msg.from, *local);
       ++shards_[0]->stats.ae_pushed;
     }
   }
@@ -104,10 +95,7 @@ void StorageNode::HandleAeDigest(const net::Message& msg) {
     for (const AeDigestEntry& entry : digest->entries) mentioned.insert(entry.key);
     for (const bson::Document& record : SharedRecords(msg.from)) {
       if (mentioned.count(core::RecordSelfKey(record)) > 0) continue;
-      PutReplicaMsg push;
-      push.req = 0;
-      push.record = core::AsReplicaCopy(record);
-      SendToNode(msg.from, kMsgPutReplica, EncodePutReplica(push));
+      PushCopy(msg.from, record);
       ++shards_[0]->stats.ae_pushed;
     }
   }
@@ -123,10 +111,7 @@ void StorageNode::HandleAeRequest(const net::Message& msg) {
   for (const std::string& key : request->keys) {
     auto record = StoreForKey(key)->GetByKey(key);  // NOLINT(hotman-shard-affinity) docstore-locked snapshot read from the system shard
     if (!record.ok()) continue;
-    PutReplicaMsg push;
-    push.req = 0;
-    push.record = core::AsReplicaCopy(*record);
-    SendToNode(msg.from, kMsgPutReplica, EncodePutReplica(push));
+    PushCopy(msg.from, *record);
     ++shards_[0]->stats.ae_requested;
   }
 }

@@ -92,11 +92,11 @@ struct ClusterConfig {
   bool hot_reads = false;
 
   // --- chaos negative controls (test-only; see src/chaos/) ---
-  /// Address of a replica that acknowledges put_replica traffic *without
-  /// applying it* — a deliberately broken node that makes write quorums
-  /// lie. Used by the negative-control chaos tests to prove the offline
-  /// consistency checker detects lost updates and stale reads; must stay
-  /// empty everywhere else.
+  /// Address of a replica that acknowledges every replica write (each
+  /// record StorageNode::ApplyReplica takes) *without applying it* — a
+  /// deliberately broken node that makes write quorums lie. Used by the
+  /// negative-control chaos tests to prove the offline consistency checker
+  /// detects lost updates and stale reads; must stay empty everywhere else.
   std::string chaos_lying_replica;
   /// Disables the ownership sweep's purge of migrated-away records (the
   /// push-before-purge half still runs). Negative control proving the

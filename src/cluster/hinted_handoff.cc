@@ -4,13 +4,10 @@
 
 namespace hotman::cluster {
 
-std::uint64_t HintStore::Add(const std::string& target, bson::Document record,
-                             std::int64_t now) {
-  const std::uint64_t id = next_id_;
-  next_id_ += stride_;
+void HintStore::Add(std::uint64_t id, const std::string& target,
+                    bson::Document record, std::int64_t now) {
   hints_.emplace(id, Hint{id, target, std::move(record), now});
   ++total_added_;
-  return id;
 }
 
 std::vector<Hint> HintStore::ForTarget(const std::string& target) const {

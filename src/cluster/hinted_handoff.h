@@ -13,7 +13,7 @@ namespace hotman::cluster {
 /// One write held for an unreachable replica (Fig. 8: node C "creates an
 /// index for the replication" while B is offline).
 struct Hint {
-  std::uint64_t id = 0;
+  std::uint64_t id = 0;     ///< a request id: the write-back's put_ack names it
   std::string target;       ///< the node this write belongs to (B)
   bson::Document record;
   std::int64_t stored_at = 0;
@@ -28,18 +28,11 @@ struct Hint {
 /// to B."
 class HintStore {
  public:
-  /// Ids count 1, 2, 3, ...
-  HintStore() = default;
-
-  /// Ids count first_id, first_id + stride, ... — a sharded node gives
-  /// shard k the arithmetic progression with `id % shards == k`, so a
-  /// handoff ack routes straight back to the ledger that issued the hint.
-  HintStore(std::uint64_t first_id, std::uint64_t stride)
-      : next_id_(first_id), stride_(stride == 0 ? 1 : stride) {}
-
-  /// Records a hint; returns its id.
-  std::uint64_t Add(const std::string& target, bson::Document record,
-                    std::int64_t now);
+  /// Records a hint under `id`, which the caller draws from its request
+  /// ids (StorageNode gives each hint one of the holding shard's), so the
+  /// write-back's put_ack routes home like any other.
+  void Add(std::uint64_t id, const std::string& target, bson::Document record,
+           std::int64_t now);
 
   /// Hints waiting for `target` (delivery attempts do not remove them —
   /// removal happens on acknowledged write-back).
@@ -68,8 +61,6 @@ class HintStore {
 
  private:
   std::map<std::uint64_t, Hint> hints_;
-  std::uint64_t next_id_ = 1;
-  std::uint64_t stride_ = 1;
   std::size_t total_added_ = 0;
   std::size_t total_delivered_ = 0;
 };

@@ -138,38 +138,6 @@ Result<HintStoreMsg> DecodeHintStore(const bson::Document& doc) {
   return out;
 }
 
-bson::Document EncodeHandoffDeliver(std::uint64_t hint_id, const bson::Document& rec) {
-  Document doc;
-  doc.Append("hint", Value(AsI64(hint_id)));
-  doc.Append("doc", Value(rec));
-  return doc;
-}
-
-Result<std::pair<std::uint64_t, bson::Document>> DecodeHandoffDeliver(
-    const bson::Document& doc) {
-  bson::FieldReader r(doc, kMsgHandoffDeliver);
-  const std::uint64_t hint = r.Int64("hint");
-  Document record = RecordField(r, "doc");
-  if (!r.ok()) return r.status();
-  return std::make_pair(hint, std::move(record));
-}
-
-bson::Document EncodeHandoffAck(const HandoffAckMsg& msg) {
-  Document doc;
-  doc.Append("hint", Value(AsI64(msg.hint_id)));
-  doc.Append("ok", Value(msg.ok));
-  return doc;
-}
-
-Result<HandoffAckMsg> DecodeHandoffAck(const bson::Document& doc) {
-  bson::FieldReader r(doc, kMsgHandoffAck);
-  HandoffAckMsg out;
-  out.hint_id = r.Int64("hint");
-  out.ok = r.Bool("ok");
-  if (!r.ok()) return r.status();
-  return out;
-}
-
 bson::Document EncodeMembership(const MembershipMsg& msg) {
   Document doc;
   doc.Append("node", Value(msg.node));

@@ -19,14 +19,15 @@ inline constexpr const char* kMsgPutAck = "put_ack";
 inline constexpr const char* kMsgGetReplica = "get_replica";
 inline constexpr const char* kMsgGetAck = "get_ack";
 inline constexpr const char* kMsgHintStore = "hint_store";
-inline constexpr const char* kMsgHandoffDeliver = "handoff_deliver";
-inline constexpr const char* kMsgHandoffAck = "handoff_ack";
 inline constexpr const char* kMsgNodeRemoved = "node_removed";
 inline constexpr const char* kMsgNodeAdded = "node_added";
 inline constexpr const char* kMsgAeDigest = "ae_digest";
 inline constexpr const char* kMsgAeRequest = "ae_request";
 
-/// put_replica / handoff_deliver payload.
+/// put_replica payload. `req` names what the put_ack answers: a pending
+/// put, or a hint being written back to its target (a hint's id is a
+/// request id of the shard that holds it). A fire-and-forget copy sends
+/// req 0 and gets no ack.
 struct PutReplicaMsg {
   std::uint64_t req = 0;
   bson::Document record;
@@ -76,12 +77,6 @@ struct HintStoreMsg {
   bson::Document record;
 };
 
-/// handoff_deliver/ack correlation.
-struct HandoffAckMsg {
-  std::uint64_t hint_id = 0;
-  bool ok = false;
-};
-
 /// Membership change notice (synchronization messages from seed nodes).
 struct MembershipMsg {
   std::string node;
@@ -124,11 +119,6 @@ bson::Document EncodeGetAck(const GetAckMsg& msg);
 Result<GetAckMsg> DecodeGetAck(const bson::Document& doc);
 bson::Document EncodeHintStore(const HintStoreMsg& msg);
 Result<HintStoreMsg> DecodeHintStore(const bson::Document& doc);
-bson::Document EncodeHandoffDeliver(std::uint64_t hint_id, const bson::Document& rec);
-Result<std::pair<std::uint64_t, bson::Document>> DecodeHandoffDeliver(
-    const bson::Document& doc);
-bson::Document EncodeHandoffAck(const HandoffAckMsg& msg);
-Result<HandoffAckMsg> DecodeHandoffAck(const bson::Document& doc);
 bson::Document EncodeMembership(const MembershipMsg& msg);
 Result<MembershipMsg> DecodeMembership(const bson::Document& doc);
 bson::Document EncodeAeDigest(const AeDigestMsg& msg);

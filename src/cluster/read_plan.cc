@@ -64,8 +64,8 @@ ReadDecision DecideRead(const ReadPlan& plan, const ReadReplies& replies,
     if (plan.verified()) {
       const ReadReply* digest = ReplyOf(plan, replies, plan.verifier);
       if (digest == nullptr) return {ReadVerdict::kWait};
-      if (core::RecordTimestamp(payload->record) != digest->digest_ts ||
-          core::RecordOrigin(payload->record) != digest->digest_origin) {
+      if (core::RecordVersion(payload->record) !=
+          core::Version{digest->digest_ts, digest->digest_origin}) {
         return {ReadVerdict::kDemote};
       }
     }

@@ -47,7 +47,7 @@ struct NodeStats {
   std::size_t gets_coordinated = 0;
   std::size_t gets_succeeded = 0;
   std::size_t gets_failed = 0;
-  std::size_t replica_puts_applied = 0;
+  std::size_t replica_puts_applied = 0;  ///< puts, write-backs, hint stores, range pushes
   std::size_t replica_gets_served = 0;
   std::size_t handoff_writes = 0;       ///< writes redirected to a temp node
   std::size_t hints_delivered = 0;      ///< write-backs acknowledged
@@ -277,9 +277,9 @@ class StorageNode {
     return shards_[ShardOfKey(key)]->store.get();
   }
   /// Shard 0's hint ledger (the only one at shards = 1).
-  HintStore* hints() { return shards_[0]->hints.get(); }
+  HintStore* hints() { return &shards_[0]->hints; }
   HintStore* HintsOfShard(int shard) HOTMAN_SHARD_AFFINE {
-    return shards_[shard]->hints.get();
+    return &shards_[shard]->hints;
   }
   gossip::Gossiper* gossiper() { return gossiper_.get(); }
   gossip::FailureDetector* detector() { return detector_.get(); }
@@ -393,7 +393,7 @@ class StorageNode {
     /// threaded; the node's base transport otherwise).
     net::Executor* executor = nullptr;
     std::unique_ptr<ReplicaStore> store;
-    std::unique_ptr<HintStore> hints;
+    HintStore hints;
     /// Shard-local membership view. Threaded shards > 0 work from ring /
     /// liveness snapshots broadcast by shard 0 on every change; shard 0
     /// (and every shard of the single-threaded runtime) reads the masters
@@ -401,7 +401,12 @@ class StorageNode {
     /// the failure detector's default for never-heard-of peers.
     hashring::Ring ring;
     std::map<std::string, gossip::Liveness> liveness;
-    std::uint64_t next_seq = 1;  ///< request ids: (next_seq << kShardBits) | index
+    std::uint64_t next_seq = 1;
+    /// The next request id: (next_seq << kShardBits) | index. Puts, gets
+    /// and hints draw from it, so an ack for any of them routes home.
+    std::uint64_t NextReq() {
+      return (next_seq++ << kShardBits) | static_cast<std::uint64_t>(index);
+    }
     std::map<std::uint64_t, PendingPut> pending_puts;
     std::map<std::uint64_t, PendingGet> pending_gets;
     std::map<std::string, DirtyEntry> dirty_keys;
@@ -453,9 +458,10 @@ class StorageNode {
                         PutReplicaMsg msg) HOTMAN_SHARD_AFFINE;
   void HandleGetReplica(ShardState& ss, const std::string& from,
                         GetReplicaMsg msg) HOTMAN_SHARD_AFFINE;
-  /// The replica work of a put_replica: applies `record` to `ss`'s store
-  /// partition and returns the ack (the caller fills in the request id and
-  /// the queue/service breakdown).
+  /// The one apply of a record a peer sent: a put_replica, a hint_store or
+  /// a rebalance push. Applies `record` to `ss`'s store partition (LWW) and
+  /// returns the ack (the caller fills in the request id and the
+  /// queue/service breakdown).
   PutAckMsg ApplyReplica(ShardState& ss,
                          const bson::Document& record) HOTMAN_SHARD_AFFINE;
   /// The replica work of a get_replica: the record of `key`, or with
@@ -475,11 +481,14 @@ class StorageNode {
   }
   void HandleHintStore(ShardState& ss, const std::string& from,
                        HintStoreMsg msg) HOTMAN_SHARD_AFFINE;
-  void HandleHandoffDeliver(ShardState& ss, const std::string& from,
-                            std::uint64_t hint_id,
-                            bson::Document record) HOTMAN_SHARD_AFFINE;
+  /// Sends `to` a replica copy of `record` as a put_replica with req 0:
+  /// fire-and-forget, no ack; LWW makes a repeat harmless. Read repair,
+  /// anti-entropy and the ownership sweep push through it.
+  void PushCopy(const std::string& to, const bson::Document& record);
 
   // Coordinator-side handlers. Run on the request id's home shard.
+  /// Counts the ack on its pending put; an ack that names no pending put
+  /// may settle a hint instead (SettleHint).
   void HandlePutAck(ShardState& ss, const std::string& from,
                     PutAckMsg ack) HOTMAN_SHARD_AFFINE;
   void HandleGetAck(ShardState& ss, const std::string& from,
@@ -488,7 +497,6 @@ class StorageNode {
   /// its own pending reads against the sender.
   void HandleCorruptGetAck(ShardState& ss,
                            const std::string& from) HOTMAN_SHARD_AFFINE;
-  void HandleHandoffAck(ShardState& ss, HandoffAckMsg ack) HOTMAN_SHARD_AFFINE;
 
   // Put state machine (all on the key's shard): StartPut fills the slots,
   // and every ack and timer firing updates them and calls AdvancePut.
@@ -558,7 +566,13 @@ class StorageNode {
 
   // Failure handling.
   void StartHintTimer(ShardState& ss) HOTMAN_SHARD_AFFINE;
+  /// Writes each hint whose target is alive back to it, as a put_replica
+  /// whose req is the hint's id.
   void DeliverHints(ShardState& ss) HOTMAN_SHARD_AFFINE;
+  /// Drops hint `id` once its target `from` acked the write-back, and the
+  /// local stand-in copy with it when nothing else keeps it.
+  void SettleHint(ShardState& ss, const std::string& from,
+                  std::uint64_t id) HOTMAN_SHARD_AFFINE;
   void OnDetectorTransition(const std::string& endpoint, gossip::Liveness from,
                             gossip::Liveness to);
 

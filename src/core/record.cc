@@ -94,11 +94,13 @@ std::string RecordOrigin(const bson::Document& record) {
   return RequireField(record, kFieldOrigin)->as_string();
 }
 
+Version RecordVersion(const bson::Document& record) {
+  return Version{RecordTimestamp(record),
+                 RequireField(record, kFieldOrigin)->as_string()};
+}
+
 bool SupersedesLww(const bson::Document& a, const bson::Document& b) {
-  const Micros ta = RecordTimestamp(a);
-  const Micros tb = RecordTimestamp(b);
-  if (ta != tb) return ta > tb;
-  return RecordOrigin(a) > RecordOrigin(b);
+  return RecordVersion(a) > RecordVersion(b);
 }
 
 bson::Document AsReplicaCopy(const bson::Document& record) {

@@ -1,6 +1,7 @@
 #ifndef HOTMAN_CORE_RECORD_H_
 #define HOTMAN_CORE_RECORD_H_
 
+#include <compare>
 #include <string>
 #include <string_view>
 
@@ -53,9 +54,22 @@ bool RecordIsCopy(const bson::Document& record);
 Micros RecordTimestamp(const bson::Document& record);
 std::string RecordOrigin(const bson::Document& record);
 
-/// Last-write-wins: true when `a` supersedes `b` — strictly newer
-/// timestamp, with origin node id breaking exact ties deterministically
-/// (§3.1 "last write wins policy").
+/// A record's version under last-write-wins (§3.1 "last write wins
+/// policy"): versions order by write timestamp, with the origin node id
+/// breaking exact ties deterministically. `origin` views a string it does
+/// not own, so a Version lives no longer than the record or message field
+/// it was read from.
+struct Version {
+  Micros ts = 0;
+  std::string_view origin;
+
+  friend auto operator<=>(const Version&, const Version&) = default;
+};
+
+/// The (_ts, _origin) version of `record`.
+Version RecordVersion(const bson::Document& record);
+
+/// Last-write-wins: true when `a`'s version orders after `b`'s.
 bool SupersedesLww(const bson::Document& a, const bson::Document& b);
 
 /// Returns a copy of `record` with the isData flag set for a replica copy.

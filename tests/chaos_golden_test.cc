@@ -100,7 +100,7 @@ constexpr Golden kGolden[] = {
     {Config::kConvergence, 9, "6ac7e9a28ab493ace491013889b89235"},
     {Config::kConvergence, 10, "90f3d20a26532359cb621692dd0a16bb"},
     {Config::kConvergenceShards2, 1, "59efff6b045b25c95f82a55c140fd490"},
-    {Config::kConvergenceShards2, 2, "2a603bd6b10980b52df3adf25b2f23af"},
+    {Config::kConvergenceShards2, 2, "4a6862482066ad1c4f6bb8be6bb63ade"},
     {Config::kConvergenceShards2, 3, "f3b391a0157b7528167fa1ed3ce7b1f8"},
     {Config::kConvergenceShards2, 4, "199b8e0fb8e957e7e5bd4075f92a2c4a"},
     {Config::kConvergenceShards2, 5, "014f9a487135e46ea07b4032ed6a2324"},

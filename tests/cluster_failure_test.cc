@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "cluster/cluster.h"
+#include "cluster/messages.h"
 #include "core/record.h"
 
 namespace hotman::cluster {
@@ -50,6 +52,64 @@ TEST_F(ClusterFailureTest, ShortFailureHandledByHintedHandoff) {
   }
   EXPECT_EQ(left, 0u) << "hints must be dropped after acked write-back";
   EXPECT_GT(cluster_->AggregateStats().hints_delivered, 0u);
+}
+
+// A hint is written back as a put_replica whose req is the hint's id, so
+// its put_ack settles it. Only an ack from the hint's target may: any other
+// sender says nothing about the target's copy.
+TEST_F(ClusterFailureTest, OnlyTheTargetsAckSettlesAHint) {
+  Boot();
+  auto prefs = cluster_->nodes().front()->ring().PreferenceList("hkey", 3);
+  StorageNode* victim = cluster_->node(prefs[1]);
+  cluster_->injector()->Inject(victim->server(),
+                               docstore::FaultMode::kNetworkException,
+                               5 * kMicrosPerSecond);
+  ASSERT_TRUE(cluster_->PutSync("hkey", ToBytes("v")).ok());
+  cluster_->RunFor(2 * kMicrosPerSecond);
+
+  // The substitute holding the victim's hint, and a live bystander that
+  // neither holds it nor is its target.
+  StorageNode* holder = nullptr;
+  std::uint64_t hint_id = 0;
+  for (StorageNode* node : cluster_->nodes()) {
+    std::vector<Hint> held = node->hints()->ForTarget(victim->id());
+    if (held.empty()) continue;
+    ASSERT_EQ(held.size(), 1u);
+    holder = node;
+    hint_id = held.front().id;
+  }
+  ASSERT_NE(holder, nullptr);
+  ASSERT_TRUE(holder->store()->GetByKey("hkey").ok());
+  ASSERT_EQ(std::find(prefs.begin(), prefs.end(), holder->id()), prefs.end());
+  StorageNode* bystander = nullptr;
+  for (StorageNode* node : cluster_->nodes()) {
+    if (node != holder && node != victim) bystander = node;
+  }
+  ASSERT_NE(bystander, nullptr);
+
+  PutAckMsg forged;
+  forged.req = hint_id;
+  forged.ok = true;
+  net::Message msg;
+  msg.from = bystander->id();
+  msg.to = holder->id();
+  msg.type = kMsgPutAck;
+  msg.body = EncodePutAck(forged);
+  cluster_->network()->Send(std::move(msg));
+  cluster_->RunFor(100 * kMicrosPerMilli);
+  EXPECT_EQ(holder->hints()->ForTarget(victim->id()).size(), 1u)
+      << "an ack from a node other than the target settled the hint";
+  EXPECT_EQ(holder->stats().hints_delivered, 0u);
+  EXPECT_TRUE(holder->store()->GetByKey("hkey").ok());
+
+  // The victim recovers; its own ack of the write-back settles the hint,
+  // and the substitute drops its stand-in copy.
+  cluster_->RunFor(20 * kMicrosPerSecond);
+  EXPECT_TRUE(victim->store()->GetByKey("hkey").ok());
+  EXPECT_TRUE(holder->hints()->ForTarget(victim->id()).empty());
+  EXPECT_EQ(holder->stats().hints_delivered, 1u);
+  EXPECT_TRUE(holder->store()->GetByKey("hkey").status().IsNotFound())
+      << "the substitute kept an unowned copy after the write-back";
 }
 
 TEST_F(ClusterFailureTest, ReadsSurviveSingleNodeCrash) {

@@ -13,33 +13,36 @@ bson::Document Rec(const std::string& marker) {
 
 TEST(HintStoreTest, AddAndQueryByTarget) {
   HintStore hints;
-  const auto id1 = hints.Add("db2", Rec("a"), 100);
-  const auto id2 = hints.Add("db2", Rec("b"), 200);
-  const auto id3 = hints.Add("db3", Rec("c"), 300);
-  EXPECT_NE(id1, id2);
+  hints.Add(64, "db2", Rec("a"), 100);
+  hints.Add(128, "db2", Rec("b"), 200);
+  hints.Add(192, "db3", Rec("c"), 300);
   EXPECT_EQ(hints.PendingCount(), 3u);
   auto for_db2 = hints.ForTarget("db2");
   ASSERT_EQ(for_db2.size(), 2u);
   EXPECT_EQ(for_db2[0].target, "db2");
+  EXPECT_EQ(for_db2[0].id, 64u);
+  EXPECT_EQ(for_db2[1].id, 128u);
   EXPECT_EQ(hints.ForTarget("db3").size(), 1u);
   EXPECT_TRUE(hints.ForTarget("db9").empty());
-  (void)id3;
 }
 
 TEST(HintStoreTest, TargetsDeduplicated) {
   HintStore hints;
-  hints.Add("db2", Rec("a"), 1);
-  hints.Add("db2", Rec("b"), 2);
-  hints.Add("db3", Rec("c"), 3);
+  hints.Add(1, "db2", Rec("a"), 1);
+  hints.Add(2, "db2", Rec("b"), 2);
+  hints.Add(3, "db3", Rec("c"), 3);
   auto targets = hints.Targets();
   EXPECT_EQ(targets.size(), 2u);
 }
 
 TEST(HintStoreTest, RemoveOnAcknowledgedWriteBack) {
   HintStore hints;
-  const auto id = hints.Add("db2", Rec("a"), 1);
-  EXPECT_TRUE(hints.Remove(id));
-  EXPECT_FALSE(hints.Remove(id));
+  hints.Add(65, "db2", Rec("a"), 1);
+  ASSERT_NE(hints.Find(65), nullptr);
+  EXPECT_EQ(hints.Find(65)->target, "db2");
+  EXPECT_TRUE(hints.Remove(65));
+  EXPECT_FALSE(hints.Remove(65));
+  EXPECT_EQ(hints.Find(65), nullptr);
   EXPECT_EQ(hints.PendingCount(), 0u);
   EXPECT_EQ(hints.total_added(), 1u);
   EXPECT_EQ(hints.total_delivered(), 1u);
@@ -47,7 +50,7 @@ TEST(HintStoreTest, RemoveOnAcknowledgedWriteBack) {
 
 TEST(HintStoreTest, DeliveryAttemptsDoNotRemove) {
   HintStore hints;
-  hints.Add("db2", Rec("a"), 1);
+  hints.Add(1, "db2", Rec("a"), 1);
   // ForTarget is read-only: repeated delivery attempts keep the hint until
   // an ack arrives.
   (void)hints.ForTarget("db2");
@@ -57,7 +60,7 @@ TEST(HintStoreTest, DeliveryAttemptsDoNotRemove) {
 
 TEST(HintStoreTest, HintCarriesRecordAndTimestamp) {
   HintStore hints;
-  hints.Add("db2", Rec("payload"), 777);
+  hints.Add(1, "db2", Rec("payload"), 777);
   auto list = hints.ForTarget("db2");
   ASSERT_EQ(list.size(), 1u);
   EXPECT_EQ(list[0].record.Get("m")->as_string(), "payload");

@@ -231,17 +231,6 @@ std::vector<Decoder> AllDecoders() {
        RoundTrip(DecodeHintStore, EncodeHintStore),
        {{"req", Kind::kInt64}, {"target", Kind::kString}, {"doc", Kind::kRecord}},
        {}});
-  all.push_back({"handoff_deliver", EncodeHandoffDeliver(4248, FixedRecord()),
-                 RoundTrip(DecodeHandoffDeliver,
-                           [](const std::pair<std::uint64_t, Document>& d) {
-                             return EncodeHandoffDeliver(d.first, d.second);
-                           }),
-                 {{"hint", Kind::kInt64}, {"doc", Kind::kRecord}},
-                 {}});
-  all.push_back({"handoff_ack", EncodeHandoffAck(HandoffAckMsg{4249, true}),
-                 RoundTrip(DecodeHandoffAck, EncodeHandoffAck),
-                 {{"hint", Kind::kInt64}, {"ok", Kind::kBool}},
-                 {}});
   all.push_back({"node_added", EncodeMembership(MembershipMsg{"db4:19870", 128}),
                  RoundTrip(DecodeMembership, EncodeMembership),
                  {{"node", Kind::kString}},
@@ -423,8 +412,6 @@ TEST(WireCodecTest, EncodersWriteThePinnedBytes) {
       {"get_ack", body("get_ack"), 196, "03945f7dece22e317ed96e4db7bca79b"},
       {"get_ack (digest)", body("get_ack (digest)"), 107, "e67655dcfd98ec1f76e279fa6f13dedd"},
       {"hint_store", body("hint_store"), 167, "99ebb850e819759446a7b9d9fe1249db"},
-      {"handoff_deliver", body("handoff_deliver"), 146, "ad9e40f755fdf4f89e5bfa9cc8fe0656"},
-      {"handoff_ack", body("handoff_ack"), 24, "8af40f2d08d39f61a6c055da1ac408ff"},
       {"node_added", body("node_added"), 37, "1f1c6e4c9f0da2325bfccfcf5ab35266"},
       {"ae_digest", body("ae_digest"), 123, "4f7b520fe14bc0b25a52722692f52a45"},
       {"ae_digest (partial)", body("ae_digest (partial)"), 75,
@@ -666,8 +653,6 @@ TEST(HostileFrameTest, MalformedRecordsLeaveTheNodeServing) {
            cluster::EncodePutReplica({8, int_key}));
   SendFrom(&sim, kDb2, cluster::kMsgHintStore,
            cluster::EncodeHintStore({9, kDb1, empty}));
-  SendFrom(&sim, kDb2, cluster::kMsgHandoffDeliver,
-           cluster::EncodeHandoffDeliver(10, empty));
   SendFrom(&sim, kDb2, rebalance::kMsgRangePush,
            rebalance::EncodeRangePush({"t-1", {empty}, {1, "user:42"}}));
   // A forged get_ack for every request id db1's one shard could have given
