@@ -139,7 +139,6 @@ std::string FormatStateLine(const std::string& endpoint, const EndpointState& st
   line += ";bootGeneration:" + std::to_string(state.generation());
   line += ";heartbeat:" + entry_or(kStateHeartbeat) + "/" +
           std::to_string(version_or(kStateHeartbeat));
-  line += ";load:" + entry_or(kStateLoad);
   return line;
 }
 

@@ -56,8 +56,8 @@ Result<Ack1Message> DecodeAck1(const bson::Document& doc);
 bson::Document EncodeAck2(const Ack2Message& msg);
 Result<Ack2Message> DecodeAck2(const bson::Document& doc);
 
-/// Renders the paper's human-readable state line:
-/// "host@vnodes;bootGeneration:g;heartbeat:h;load:l".
+/// Renders the paper's human-readable state line, without its load field:
+/// "host@vnodes;bootGeneration:g;heartbeat:h/version".
 std::string FormatStateLine(const std::string& endpoint, const EndpointState& state);
 
 }  // namespace hotman::gossip

@@ -13,9 +13,8 @@ namespace hotman::gossip {
 
 /// Well-known application-state keys (the fields of the paper's gossip
 /// message template "HostAddress@VirtualNode;bootGeneration:...;heartbeat:
-/// ...;load:...").
+/// ...;load:..."; no node measures its load, so none gossips one).
 inline constexpr const char* kStateHeartbeat = "heartbeat";
-inline constexpr const char* kStateLoad = "load";
 inline constexpr const char* kStateVnodes = "vnodes";
 inline constexpr const char* kStateStatus = "status";  // NORMAL / LEAVING / REMOVED
 

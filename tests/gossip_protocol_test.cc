@@ -12,6 +12,9 @@
 namespace hotman::gossip {
 namespace {
 
+/// An application-state key of these tests' own: any key gossips alike.
+constexpr const char* kProbeKey = "probe";
+
 /// A little cluster of gossipers wired over the simulated network.
 class GossipHarness {
  public:
@@ -72,18 +75,18 @@ TEST(GossipProtocolTest, ThreeMessageExchangeTransfersState) {
   GossipHarness harness(2, 1);
   Gossiper* a = harness.gossipers_[0].get();
   Gossiper* b = harness.gossipers_[1].get();
-  a->SetLocalState(kStateLoad, "0.7");
-  b->SetLocalState(kStateLoad, "0.2");
+  a->SetLocalState(kProbeKey, "0.7");
+  b->SetLocalState(kProbeKey, "0.2");
   // One explicit round from b (a normal node talking to the seed).
   b->Tick();
   harness.loop_.RunUntilIdle();
-  // After Syn/Ack1/Ack2, each side knows the other's load.
+  // After Syn/Ack1/Ack2, each side knows the other's entry.
   const EndpointState* b_at_a = a->states().Get(GossipHarness::Name(1));
   ASSERT_NE(b_at_a, nullptr);
-  EXPECT_EQ(b_at_a->GetEntry(kStateLoad)->value, "0.2");
+  EXPECT_EQ(b_at_a->GetEntry(kProbeKey)->value, "0.2");
   const EndpointState* a_at_b = b->states().Get(GossipHarness::Name(0));
   ASSERT_NE(a_at_b, nullptr);
-  EXPECT_EQ(a_at_b->GetEntry(kStateLoad)->value, "0.7");
+  EXPECT_EQ(a_at_b->GetEntry(kProbeKey)->value, "0.7");
 }
 
 TEST(GossipProtocolTest, ClusterConverges) {
@@ -138,23 +141,23 @@ TEST(GossipProtocolTest, LateJoinerLearnsEverything) {
 
 TEST(GossipProtocolTest, PartitionedNodeCatchesUpAfterHeal) {
   GossipHarness harness(4, 1);
-  harness.gossipers_[0]->SetLocalState(kStateLoad, "0.10");
+  harness.gossipers_[0]->SetLocalState(kProbeKey, "0.10");
   harness.StartAll();
   harness.loop_.RunFor(10 * kMicrosPerSecond);
   harness.net_.Disconnect(GossipHarness::Name(3));
-  harness.gossipers_[0]->SetLocalState(kStateLoad, "0.99");
+  harness.gossipers_[0]->SetLocalState(kProbeKey, "0.99");
   harness.loop_.RunFor(10 * kMicrosPerSecond);
   const EndpointState* stale =
       harness.gossipers_[3]->states().Get(GossipHarness::Name(0));
   ASSERT_NE(stale, nullptr);
-  ASSERT_NE(stale->GetEntry(kStateLoad), nullptr);
-  EXPECT_EQ(stale->GetEntry(kStateLoad)->value, "0.10");
+  ASSERT_NE(stale->GetEntry(kProbeKey), nullptr);
+  EXPECT_EQ(stale->GetEntry(kProbeKey)->value, "0.10");
   harness.net_.Reconnect(GossipHarness::Name(3));
   harness.loop_.RunFor(20 * kMicrosPerSecond);
   EXPECT_EQ(harness.gossipers_[3]
                 ->states()
                 .Get(GossipHarness::Name(0))
-                ->GetEntry(kStateLoad)
+                ->GetEntry(kProbeKey)
                 ->value,
             "0.99");
 }

@@ -11,7 +11,7 @@ TEST(EndpointStateTest, MaxVersionTracksEntries) {
   EndpointState state(1);
   EXPECT_EQ(state.MaxVersion(), 0);
   state.SetEntry("heartbeat", "1", 3);
-  state.SetEntry("load", "0.5", 7);
+  state.SetEntry("probe", "0.5", 7);
   EXPECT_EQ(state.MaxVersion(), 7);
 }
 
@@ -29,13 +29,13 @@ TEST(EndpointStateTest, EntriesAfterFiltersByVersion) {
 TEST(EndpointStateTest, MergeTakesHigherVersions) {
   EndpointState local(1);
   local.SetEntry("heartbeat", "5", 10);
-  local.SetEntry("load", "0.3", 4);
+  local.SetEntry("probe", "0.3", 4);
   EndpointState remote(1);
   remote.SetEntry("heartbeat", "7", 12);  // newer
-  remote.SetEntry("load", "0.9", 2);      // older
+  remote.SetEntry("probe", "0.9", 2);     // older
   EXPECT_TRUE(local.Merge(remote));
   EXPECT_EQ(local.GetEntry("heartbeat")->value, "7");
-  EXPECT_EQ(local.GetEntry("load")->value, "0.3");
+  EXPECT_EQ(local.GetEntry("probe")->value, "0.3");
 }
 
 TEST(EndpointStateTest, MergeSameVersionsNoChange) {
@@ -135,13 +135,13 @@ TEST(MessagesTest, MalformedRejected) {
 }
 
 TEST(MessagesTest, StateLineMatchesPaperTemplate) {
-  // "HostAddress@VirtualNode;bootGeneration:...;heartbeat:...;load:..."
+  // "HostAddress@VirtualNode;bootGeneration:...;heartbeat:...", the paper's
+  // template without the load field no node measures.
   EndpointState state(4);
   state.SetEntry(kStateVnodes, "128", 1);
   state.SetEntry(kStateHeartbeat, "17", 8);
-  state.SetEntry(kStateLoad, "0.42", 5);
   const std::string line = FormatStateLine("db1:19870", state);
-  EXPECT_EQ(line, "db1:19870@128;bootGeneration:4;heartbeat:17/8;load:0.42");
+  EXPECT_EQ(line, "db1:19870@128;bootGeneration:4;heartbeat:17/8");
 }
 
 }  // namespace
