@@ -72,17 +72,20 @@ void StorageNode::HandleAeDigest(const net::Message& msg) {
 
   AeRequestMsg request;
   for (const AeDigestEntry& entry : digest->entries) {
-    auto local = StoreForKey(entry.key)->GetByKey(entry.key);  // NOLINT(hotman-shard-affinity) docstore-locked snapshot read from the system shard
-    if (!local.ok()) {
+    ReplicaStore* store = StoreForKey(entry.key);  // NOLINT(hotman-shard-affinity) docstore-locked snapshot read from the system shard
+    auto held = store->VersionOf(entry.key);
+    if (!held.ok()) {
       // We are missing the record entirely: pull it.
       request.keys.push_back(entry.key);
       continue;
     }
-    const core::Version held = core::RecordVersion(*local);
     const core::Version remote{entry.timestamp, entry.origin};
-    if (remote > held) {
+    if (remote > held->view()) {
       request.keys.push_back(entry.key);
-    } else if (held > remote) {
+    } else if (held->view() > remote) {
+      // Only a push needs the record itself.
+      auto local = store->GetByKey(entry.key);
+      if (!local.ok()) continue;
       PushCopy(msg.from, *local);
       ++shards_[0]->stats.ae_pushed;
     }

@@ -1,16 +1,8 @@
 #include "cluster/replica_store.h"
 
+#include <optional>
+
 namespace hotman::cluster {
-
-namespace {
-
-bson::Document KeyFilter(const std::string& self_key) {
-  bson::Document filter;
-  filter.Append(core::kFieldSelfKey, bson::Value(self_key));
-  return filter;
-}
-
-}  // namespace
 
 ReplicaStore::ReplicaStore(docstore::Database* db, std::string collection)
     : collection_(db->GetCollection(collection)) {}
@@ -26,27 +18,39 @@ Status ReplicaStore::Init() {
 
 Result<bool> ReplicaStore::Apply(const bson::Document& record) {
   HOTMAN_RETURN_IF_ERROR(core::ValidateRecord(record));
-  const std::string self_key = core::RecordSelfKey(record);
-  auto existing = collection_->FindOne(KeyFilter(self_key));
-  if (!existing.ok()) return existing.status();
-  if (existing->has_value()) {
-    const bson::Document& current = **existing;
-    if (!core::SupersedesLww(record, current)) {
-      return false;  // stored version wins
-    }
+  std::optional<bson::Value> superseded_id;
+  Status held = collection_->ReadUnique(
+      core::kFieldSelfKey, core::RecordSelfKey(record),
+      [&record, &superseded_id](const bson::Document& current) {
+        if (core::SupersedesLww(record, current)) {
+          superseded_id = *current.Get(core::kFieldId);
+        }
+      });
+  if (held.ok()) {
+    if (!superseded_id.has_value()) return false;  // stored version wins
     // Replace: the superseding record carries its own _id.
-    HOTMAN_RETURN_IF_ERROR(
-        collection_->RemoveById(*current.Get(core::kFieldId)));
+    HOTMAN_RETURN_IF_ERROR(collection_->RemoveById(*superseded_id));
   }
   HOTMAN_RETURN_IF_ERROR(collection_->PutDocument(record));
   return true;
 }
 
 Result<bson::Document> ReplicaStore::GetByKey(const std::string& self_key) const {
-  auto found = collection_->FindOne(KeyFilter(self_key));
-  if (!found.ok()) return found.status();
-  if (!found->has_value()) return Status::NotFound("no record for key " + self_key);
-  return **found;
+  bson::Document record;
+  HOTMAN_RETURN_IF_ERROR(collection_->ReadUnique(
+      core::kFieldSelfKey, self_key,
+      [&record](const bson::Document& stored) { record = stored; }));
+  return record;
+}
+
+Result<StoredVersion> ReplicaStore::VersionOf(const std::string& self_key) const {
+  StoredVersion version;
+  HOTMAN_RETURN_IF_ERROR(collection_->ReadUnique(
+      core::kFieldSelfKey, self_key, [&version](const bson::Document& stored) {
+        const core::Version held = core::RecordVersion(stored);
+        version = StoredVersion{held.ts, std::string(held.origin)};
+      }));
+  return version;
 }
 
 Result<std::vector<bson::Document>> ReplicaStore::AllRecords() const {
@@ -62,9 +66,12 @@ Result<std::size_t> ReplicaStore::NumLiveRecords() const {
 std::size_t ReplicaStore::NumRecords() const { return collection_->NumDocuments(); }
 
 Status ReplicaStore::Purge(const std::string& self_key) {
-  auto removed = collection_->Remove(KeyFilter(self_key));
-  if (!removed.ok()) return removed.status();
-  return Status::OK();
+  bson::Value id;
+  Status held = collection_->ReadUnique(
+      core::kFieldSelfKey, self_key,
+      [&id](const bson::Document& stored) { id = *stored.Get(core::kFieldId); });
+  if (held.IsNotFound()) return Status::OK();  // idempotent
+  return collection_->RemoveById(id);
 }
 
 }  // namespace hotman::cluster

@@ -9,9 +9,18 @@
 
 namespace hotman::cluster {
 
+/// A stored record's last-write-wins version, copied out of the store.
+struct StoredVersion {
+  Micros ts = 0;
+  std::string origin;
+
+  core::Version view() const { return core::Version{ts, origin}; }
+};
+
 /// The per-node record store: a docstore collection holding the paper's
 /// record schema with a unique index on `self-key` and last-write-wins
-/// upsert semantics.
+/// upsert semantics. Every access by `self-key` is one hash probe
+/// (docstore::Collection::ReadUnique).
 class ReplicaStore {
  public:
   ReplicaStore(docstore::Database* db, std::string collection);
@@ -27,6 +36,10 @@ class ReplicaStore {
   /// Current record for `self_key` — including tombstones (callers decide
   /// whether a tombstone means NotFound).
   Result<bson::Document> GetByKey(const std::string& self_key) const;
+
+  /// The (_ts, _origin) version of the record for `self_key`, tombstones
+  /// included, without copying the record.
+  Result<StoredVersion> VersionOf(const std::string& self_key) const;
 
   /// Snapshot of every record (used by rebalancing scans).
   Result<std::vector<bson::Document>> AllRecords() const;

@@ -409,11 +409,11 @@ void StorageNode::HandleGetReplica(ShardState& ss, const std::string& from,
                                    GetReplicaMsg msg) {
   if (msg.digest_only) {
     // Version probes bypass the ServiceStation: they serve a bounded
-    // (_ts, _origin) pair off the store's index, not a record payload —
-    // that asymmetry is the point of the hot fan-out (the primary answers
-    // cheap metadata probes while payload service rotates across the
-    // other holders). A production engine would back this with an
-    // in-memory version index; the docstore lookup plays that role here.
+    // (_ts, _origin) pair read in place through ReplicaStore::VersionOf
+    // (one hash probe of the self-key index, no record copy), not a
+    // record payload — that asymmetry is the point of the hot fan-out (the
+    // primary answers cheap metadata probes while payload service rotates
+    // across the other holders).
     GetAckMsg ack = ReadReplica(ss, msg.key, /*digest_only=*/true);
     ack.req = msg.req;
     SendToNode(from, kMsgGetAck, EncodeGetAck(ack));
@@ -474,20 +474,22 @@ GetAckMsg StorageNode::ReadReplica(ShardState& ss, const std::string& key,
     ack.error = available.ToString();
     return ack;
   }
-  auto record = ss.store->GetByKey(key);
-  ack.ok = true;
-  if (record.ok()) {
-    ack.found = true;
-    if (digest_only) {
-      ack.digest_ts = core::RecordTimestamp(*record);
-      ack.digest_origin = core::RecordOrigin(*record);
-    } else {
-      ack.record = std::move(*record);
+  Status read;
+  if (digest_only) {
+    auto version = ss.store->VersionOf(key);
+    read = version.status();
+    if (version.ok()) {
+      ack.digest_ts = version->ts;
+      ack.digest_origin = std::move(version->origin);
     }
-  } else if (!record.status().IsNotFound()) {
-    ack.ok = false;
-    ack.error = record.status().ToString();
+  } else {
+    auto record = ss.store->GetByKey(key);
+    read = record.status();
+    if (record.ok()) ack.record = std::move(*record);
   }
+  ack.ok = read.ok() || read.IsNotFound();
+  ack.found = read.ok();
+  if (!ack.ok) ack.error = read.ToString();
   if (ack.ok) ++(digest_only ? ss.stats.replica_digests_served
                              : ss.stats.replica_gets_served);
   return ack;

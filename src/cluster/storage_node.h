@@ -258,10 +258,12 @@ class StorageNode {
   /// Shard partitioning of this node's key space.
   int num_shards() const { return sharded_->num_shards(); }
   /// Shard owning `key`: its ketama ring position, mapped onto the shard
-  /// arcs (net/ stays hash-agnostic, so the hash happens here).
+  /// arcs (net/ stays hash-agnostic, so the hash happens here). A
+  /// one-shard node owns every key without hashing it.
   int ShardOfKey(const std::string& key) const {
-    return net::ShardedExecutor::ShardForPoint(hashring::KetamaHash(key),
-                                               sharded_->num_shards());
+    const int shards = sharded_->num_shards();
+    if (shards == 1) return 0;
+    return net::ShardedExecutor::ShardForPoint(hashring::KetamaHash(key), shards);
   }
   /// Shard 0's replica store (the only one at shards = 1; multi-shard
   /// callers scan every shard via StoreOfShard).

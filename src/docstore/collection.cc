@@ -30,23 +30,27 @@ Result<bson::Value> Collection::Insert(bson::Document doc) {
 }
 
 Status Collection::InsertLocked(bson::Document doc, const bson::Value& id) {
-  if (docs_.count(id) > 0) {
+  // Store before indexing: a unique index points at the stored document,
+  // and docs_'s nodes never move.
+  auto [it, inserted] = docs_.try_emplace(id, std::move(doc));
+  if (!inserted) {
     return Status::AlreadyExists("duplicate _id in collection " + name_);
   }
+  const bson::Document& stored = it->second;
   for (auto& index : indexes_) {
-    Status s = index->Insert(id, doc);
+    Status s = index->Insert(id, stored);
     if (!s.ok()) {
       // Roll back entries added to earlier indexes.
       for (auto& prior : indexes_) {
         if (prior.get() == index.get()) break;
-        prior->Remove(id, doc);
+        prior->Remove(id, stored);
       }
+      docs_.erase(it);
       return s;
     }
   }
-  data_bytes_ += bson::EncodedSize(doc);
-  NotifyPut(doc);
-  docs_.emplace(id, std::move(doc));
+  data_bytes_ += bson::EncodedSize(stored);
+  NotifyPut(stored);
   return Status::OK();
 }
 
@@ -169,6 +173,20 @@ Result<std::optional<bson::Document>> Collection::FindOne(
   return std::optional<bson::Document>{std::move(results->front())};
 }
 
+Status Collection::ReadUnique(
+    std::string_view path, const std::string& key,
+    const std::function<void(const bson::Document&)>& read) const {
+  ReaderMutexLock lock(&mu_);
+  for (const auto& index : indexes_) {
+    if (index->spec().path != path) continue;
+    const bson::Document* doc = index->FindUnique(key);
+    if (doc == nullptr) break;
+    read(*doc);
+    return Status::OK();
+  }
+  return Status::NotFound("no document with given unique key");
+}
+
 Result<UpdateResult> Collection::Update(const bson::Document& filter,
                                         const bson::Document& update,
                                         const UpdateOptions& options) {
@@ -218,24 +236,24 @@ Result<UpdateResult> Collection::Update(const bson::Document& filter,
     HOTMAN_RETURN_IF_ERROR(query::ApplyUpdate(update, &updated));
     ++result.matched;
     if (updated == it->second) continue;  // no-op update
-    // Re-index: remove old entries, add new ones.
+    // Re-index: remove old entries, swap the new state in, add its entries
+    // (indexes point at the stored document, never at a temporary).
     for (auto& index : indexes_) index->Remove(id, it->second);
+    std::swap(it->second, updated);  // `updated` now holds the old state
     Status index_status;
     for (auto& index : indexes_) {
-      index_status = index->Insert(id, updated);
+      index_status = index->Insert(id, it->second);
       if (!index_status.ok()) break;
     }
     if (!index_status.ok()) {
-      // Restore old entries and fail.
-      for (auto& index : indexes_) {
-        index->Remove(id, updated);
-        index->Insert(id, it->second).ok();
-      }
+      // Restore the old state and its entries, and fail.
+      for (auto& index : indexes_) index->Remove(id, it->second);
+      std::swap(it->second, updated);
+      for (auto& index : indexes_) index->Insert(id, it->second).ok();
       return index_status;
     }
-    data_bytes_ += bson::EncodedSize(updated);
-    data_bytes_ -= bson::EncodedSize(it->second);
-    it->second = std::move(updated);
+    data_bytes_ += bson::EncodedSize(it->second);
+    data_bytes_ -= bson::EncodedSize(updated);
     NotifyPut(it->second);
     ++result.modified;
   }

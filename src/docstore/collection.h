@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bson/document.h"
@@ -56,7 +57,7 @@ using ChangeListener = std::function<void(const ChangeEvent&)>;
 /// responsible for data persistence") providing "complex query functions
 /// like relational databases".
 ///
-/// Reads (FindById/Find/Count/Explain and the stats accessors) take mu_ in
+/// Reads (FindById/Find/ReadUnique/Count/Explain and the stats accessors) take mu_ in
 /// shared mode and run concurrently; mutations take it exclusively. The
 /// change listener only fires from mutation paths, so a shared holder can
 /// never re-enter the journal (see DESIGN.md "Read-path concurrency").
@@ -86,6 +87,14 @@ class Collection {
 
   /// First match, or nullopt.
   Result<std::optional<bson::Document>> FindOne(const bson::Document& filter) const;
+
+  /// Point read by unique key: runs `read` on the document whose unique
+  /// index on `path` holds the string `key`, under the shared lock, with no
+  /// filter, plan or copy. NotFound when no document holds `key` or no
+  /// unique index covers `path`. `read` must not call into the collection.
+  Status ReadUnique(std::string_view path, const std::string& key,
+                    const std::function<void(const bson::Document&)>& read) const
+      HOTMAN_EXCLUDES(mu_);
 
   /// Applies `update` (operator or replacement form) to matching documents.
   Result<UpdateResult> Update(const bson::Document& filter,

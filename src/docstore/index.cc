@@ -42,12 +42,20 @@ Status SecondaryIndex::Insert(const bson::Value& id, const bson::Document& doc) 
       }
     }
   }
-  for (const bson::Value& key : keys) entries_.emplace(key, id);
+  for (const bson::Value& key : keys) {
+    entries_.emplace(key, id);
+    if (spec_.unique && key.is_string()) by_string_[key.as_string()] = &doc;
+  }
   return Status::OK();
 }
 
 void SecondaryIndex::Remove(const bson::Value& id, const bson::Document& doc) {
   for (const bson::Value& key : ExtractKeys(doc)) {
+    if (spec_.unique && key.is_string()) {
+      // A failed re-index removes keys another document may hold.
+      auto held = by_string_.find(key.as_string());
+      if (held != by_string_.end() && held->second == &doc) by_string_.erase(held);
+    }
     auto [lo, hi] = entries_.equal_range(key);
     for (auto it = lo; it != hi; ++it) {
       if (it->second == id) {
@@ -56,6 +64,11 @@ void SecondaryIndex::Remove(const bson::Value& id, const bson::Document& doc) {
       }
     }
   }
+}
+
+const bson::Document* SecondaryIndex::FindUnique(const std::string& key) const {
+  auto it = by_string_.find(key);
+  return it == by_string_.end() ? nullptr : it->second;
 }
 
 std::vector<bson::Value> SecondaryIndex::Lookup(const bson::Value& key) const {

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "bson/document.h"
@@ -32,6 +33,12 @@ struct IndexSpec {
 /// Array fields are multi-key indexed (one entry per element), as in
 /// MongoDB. Documents missing the field are indexed under null so that
 /// `{field: null}` queries can use the index.
+///
+/// A unique index also keeps a hash table from each string key to the
+/// stored document, so an exact string lookup (FindUnique) needs no tree
+/// walk and no `_id` hop. Its entries point at the `doc` passed to Insert,
+/// so that must be the collection's stored document, alive and in place
+/// until Remove is called with it.
 class SecondaryIndex {
  public:
   explicit SecondaryIndex(IndexSpec spec);
@@ -44,6 +51,10 @@ class SecondaryIndex {
 
   /// Removes `doc`'s entries (doc must be the previously inserted state).
   void Remove(const bson::Value& id, const bson::Document& doc);
+
+  /// Unique indexes only: the stored document whose indexed value is the
+  /// string `key`, or nullptr.
+  const bson::Document* FindUnique(const std::string& key) const;
 
   /// All ids whose indexed value equals `key`.
   std::vector<bson::Value> Lookup(const bson::Value& key) const;
@@ -60,6 +71,7 @@ class SecondaryIndex {
 
   IndexSpec spec_;
   std::multimap<bson::Value, bson::Value, ValueLess> entries_;
+  std::unordered_map<std::string, const bson::Document*> by_string_;
 };
 
 }  // namespace hotman::docstore

@@ -193,6 +193,103 @@ TEST_F(CollectionTest, UniqueIndexAllowsUpdateOfSameDocument) {
   EXPECT_EQ(result->modified, 1u);
 }
 
+/// `_id` of the document ReadUnique finds under the unique index on `path`
+/// for `key`, or "" when it finds none.
+std::string IdOf(const Collection& coll, const std::string& path,
+                 const std::string& key) {
+  std::string id;
+  Status s = coll.ReadUnique(path, key, [&id](const Document& doc) {
+    id = doc.Get("_id")->as_string();
+  });
+  EXPECT_EQ(s.ok(), !id.empty()) << s.ToString();
+  EXPECT_TRUE(s.ok() || s.IsNotFound()) << s.ToString();
+  return id;
+}
+
+TEST_F(CollectionTest, ReadUniqueFollowsEveryWrite) {
+  ASSERT_TRUE(coll_.CreateIndex(IndexSpec{"email", true}).ok());
+  ASSERT_TRUE(coll_.Insert(Doc({{"_id", Value("u1")}, {"email", Value("a@x")}})).ok());
+  EXPECT_EQ(IdOf(coll_, "email", "a@x"), "u1");
+  EXPECT_EQ(IdOf(coll_, "email", "nobody@x"), "");
+
+  // A replace is read in full.
+  ASSERT_TRUE(coll_.PutDocument(Doc({{"_id", Value("u1")},
+                                     {"email", Value("a@x")},
+                                     {"v", Value(std::int32_t{2})}}))
+                  .ok());
+  std::int32_t v = 0;
+  ASSERT_TRUE(coll_.ReadUnique("email", "a@x", [&v](const Document& doc) {
+                     v = doc.Get("v")->as_int32();
+                   }).ok());
+  EXPECT_EQ(v, 2);
+
+  // An update of the indexed key moves the entry.
+  ASSERT_TRUE(coll_.Update(Doc({{"_id", Value("u1")}}),
+                           Doc({{"$set", Value(Doc({{"email", Value("b@x")}}))}}))
+                  .ok());
+  EXPECT_EQ(IdOf(coll_, "email", "a@x"), "");
+  EXPECT_EQ(IdOf(coll_, "email", "b@x"), "u1");
+
+  ASSERT_TRUE(coll_.RemoveById(Value("u1")).ok());
+  EXPECT_EQ(IdOf(coll_, "email", "b@x"), "");
+
+  ASSERT_TRUE(coll_.Insert(Doc({{"_id", Value("u2")}, {"email", Value("c@x")}})).ok());
+  ASSERT_TRUE(coll_.Remove(Doc({{"email", Value("c@x")}})).ok());
+  EXPECT_EQ(IdOf(coll_, "email", "c@x"), "");
+}
+
+TEST_F(CollectionTest, ReadUniqueSurvivesRejectedWrites) {
+  // Two unique indexes: a write the second rejects is rolled back in the
+  // first, which already took its entry.
+  ASSERT_TRUE(coll_.CreateIndex(IndexSpec{"email", true}).ok());
+  ASSERT_TRUE(coll_.CreateIndex(IndexSpec{"name", true}).ok());
+  ASSERT_TRUE(coll_.Insert(Doc({{"_id", Value("u1")},
+                                {"email", Value("a@x")},
+                                {"name", Value("ann")}}))
+                  .ok());
+  ASSERT_TRUE(coll_.Insert(Doc({{"_id", Value("u2")},
+                                {"email", Value("b@x")},
+                                {"name", Value("bob")}}))
+                  .ok());
+
+  EXPECT_TRUE(coll_.Insert(Doc({{"_id", Value("u3")}, {"email", Value("a@x")}}))
+                  .status()
+                  .IsAlreadyExists());
+  EXPECT_TRUE(coll_.Insert(Doc({{"_id", Value("u3")},
+                                {"email", Value("new@x")},
+                                {"name", Value("ann")}}))
+                  .status()
+                  .IsAlreadyExists());
+  EXPECT_EQ(IdOf(coll_, "email", "a@x"), "u1");
+  EXPECT_EQ(IdOf(coll_, "email", "new@x"), "");
+  EXPECT_EQ(coll_.NumDocuments(), 2u);
+
+  EXPECT_TRUE(coll_.Update(Doc({{"_id", Value("u2")}}),
+                           Doc({{"$set", Value(Doc({{"email", Value("fresh@x")},
+                                                    {"name", Value("ann")}}))}}))
+                  .status()
+                  .IsAlreadyExists());
+  EXPECT_EQ(IdOf(coll_, "email", "fresh@x"), "");
+  EXPECT_EQ(IdOf(coll_, "email", "b@x"), "u2");
+  EXPECT_EQ(IdOf(coll_, "name", "bob"), "u2");
+  // The rollback must not drop the entry of the document that won.
+  EXPECT_EQ(IdOf(coll_, "name", "ann"), "u1");
+  EXPECT_EQ(IdOf(coll_, "email", "a@x"), "u1");
+}
+
+TEST_F(CollectionTest, ReadUniqueNeedsAUniqueIndex) {
+  ASSERT_TRUE(coll_.Insert(Doc({{"_id", Value("u1")}, {"email", Value("a@x")}})).ok());
+  ASSERT_TRUE(coll_.CreateIndex(IndexSpec{"email", false}).ok());
+  EXPECT_EQ(IdOf(coll_, "email", "a@x"), "");
+  ASSERT_TRUE(coll_.DropIndex("email").ok());
+
+  // CreateIndex back-fills the hash table.
+  ASSERT_TRUE(coll_.CreateIndex(IndexSpec{"email", true}).ok());
+  EXPECT_EQ(IdOf(coll_, "email", "a@x"), "u1");
+  ASSERT_TRUE(coll_.DropIndex("email").ok());
+  EXPECT_TRUE(coll_.ReadUnique("email", "a@x", [](const Document&) {}).IsNotFound());
+}
+
 TEST_F(CollectionTest, CreateIndexBackfillsAndRejectsDuplicates) {
   ASSERT_TRUE(coll_.Insert(Doc({{"k", Value("v1")}})).ok());
   IndexSpec spec;

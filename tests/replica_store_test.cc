@@ -87,6 +87,31 @@ TEST_F(ReplicaStoreTest, TombstoneSupersedesByLww) {
   EXPECT_FALSE(core::RecordIsDeleted(*store_.GetByKey("k")));
 }
 
+TEST_F(ReplicaStoreTest, VersionOfReadsTheStoredVersion) {
+  EXPECT_TRUE(store_.VersionOf("k").status().IsNotFound());
+  ASSERT_TRUE(store_.Apply(Record("k", "v", 100, "n2")).ok());
+  auto live = store_.VersionOf("k");
+  ASSERT_TRUE(live.ok());
+  EXPECT_EQ(live->ts, 100);
+  EXPECT_EQ(live->origin, "n2");
+
+  // A losing apply leaves the version; a winning one replaces it.
+  ASSERT_FALSE(*store_.Apply(Record("k", "tie", 100, "n1")));
+  EXPECT_EQ(store_.VersionOf("k")->origin, "n2");
+  ASSERT_TRUE(*store_.Apply(Record("k", "new", 200, "n1")));
+  auto won = store_.VersionOf("k");
+  ASSERT_TRUE(won.ok());
+  EXPECT_EQ(won->ts, 200);
+  EXPECT_EQ(won->origin, "n1");
+
+  // A tombstone has a version too.
+  ASSERT_TRUE(*store_.Apply(core::MakeTombstone(gen_->Next(), "k", 300, "n3")));
+  auto dead = store_.VersionOf("k");
+  ASSERT_TRUE(dead.ok());
+  EXPECT_EQ(dead->ts, 300);
+  EXPECT_EQ(dead->origin, "n3");
+}
+
 TEST_F(ReplicaStoreTest, ApplyRejectsMalformedRecords) {
   bson::Document junk;
   junk.Append("x", bson::Value("y"));
